@@ -23,11 +23,9 @@ from .opalgebra import (
     ImageSeries,
     OperatorTerm,
     TermSumOperator,
-    compose,
     contraction_op,
     identity_op,
     image_series,
-    merge_prune,
     reflection_op,
     scaling_op,
     shift_op,

@@ -263,15 +263,8 @@ def extension_values(trace: BoundaryTrace, xs, ys,
     return out
 
 
-def harmonic_extension(trace: BoundaryTrace, x: float, y: float,
-                       quad_tol: float = 1e-9) -> np.ndarray:
-    """Base-field value at a single point (x >= 0 for sampled traces).
-
-    quad_tol is accepted for interface compatibility; the sampled-trace
-    Poisson integral is evaluated exactly per segment, so no tolerance is
-    consumed.
-    """
-    del quad_tol
+def harmonic_extension(trace: BoundaryTrace, x: float, y: float) -> np.ndarray:
+    """Base-field value at a single point (x >= 0 for sampled traces)."""
     return extension_values(trace, [x], [y])[0, 0]
 
 

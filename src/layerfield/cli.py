@@ -399,6 +399,19 @@ def run_solve(cfg: RunConfig) -> int:
     return 0
 
 
+def _oracle(call, *args, **kwargs):
+    """Run an oracle call. The oracles raise ValueError for settings they
+    cannot honour (grid sizes, interface placement, y periodicity, trace
+    kind, omega = 0); those are config errors. LinAlgError, a ValueError
+    subclass, stays a numerical failure."""
+    try:
+        return call(*args, **kwargs)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(f"oracle: {exc}") from exc
+
+
 def _verify_payload(cfg: RunConfig, fields: dict) -> dict:
     p = cfg.problem
     v = cfg.verify
@@ -415,15 +428,15 @@ def _verify_payload(cfg: RunConfig, fields: dict) -> dict:
         metrics = {}
         for layer, key in ((1, "layer1"), (2, "layer2")):
             fld = fields[key]
-            ref = oracle.mode_match_reference(p, fld.x_nodes, fld.y_nodes,
-                                              layer)
+            ref = _oracle(oracle.mode_match_reference, p, fld.x_nodes,
+                          fld.y_nodes, layer)
             m = oracle.compare(fld, FieldGrid(fld.x_range, fld.y_range, ref,
                                               fld.layer_boundary))
             metrics[key] = {"linf": m.linf, "l2": m.l2}
         payload["mode_match_comparison"] = metrics
     if v["fd_oracle"]:
-        fd = oracle.fd_solve(p, v["fd_x"], v["fd_nx"], v["fd_ny"],
-                             far_tol=v["far_tol"])
+        fd = _oracle(oracle.fd_solve, p, v["fd_x"], v["fd_nx"], v["fd_ny"],
+                     far_tol=v["far_tol"])
         series_on_fd = _solution_on_nodes(cfg, fd.x_nodes, fd.y_nodes)
         m = oracle.compare(fd, FieldGrid(fd.x_range, fd.y_range, series_on_fd,
                                          fd.layer_boundary))
@@ -489,7 +502,8 @@ def run_convergence(cfg: RunConfig, resolutions) -> int:
     prev_err = None
     for nx in resolutions:
         ny = max(8, int(round((nx - 1) * y_span / truncation_x)))
-        fd = oracle.fd_solve(p, truncation_x, nx, ny, far_tol=v["far_tol"])
+        fd = _oracle(oracle.fd_solve, p, truncation_x, nx, ny,
+                     far_tol=v["far_tol"])
         ref = _truncated_reference(p, fd)
         err = oracle.compare(fd, ref).linf
         h = truncation_x / (nx - 1)
@@ -506,8 +520,8 @@ def run_convergence(cfg: RunConfig, resolutions) -> int:
                 prune_tol=cfg.solver["prune_tol"])
             err = 0.0
             for layer, fld in ((1, f1), (2, f2)):
-                ref = oracle.mode_match_reference(p, fld.x_nodes,
-                                                  fld.y_nodes, layer)
+                ref = _oracle(oracle.mode_match_reference, p, fld.x_nodes,
+                              fld.y_nodes, layer)
                 err = max(err, float(np.abs(fld.values - ref).max()))
             ratio = prev_err / err if prev_err is not None else float("nan")
             rows.append(("series", j, float("nan"), err, ratio))
@@ -532,16 +546,17 @@ def _truncated_reference(problem, fd: FieldGrid) -> FieldGrid:
         mask1 = xs <= problem.l
         for layer, mask in ((1, mask1), (2, ~mask1)):
             if np.any(mask):
-                vals[mask] = oracle.mode_match_reference(
-                    problem, xs[mask], ys, layer, truncation_x=truncation_x)
+                vals[mask] = _oracle(oracle.mode_match_reference, problem,
+                                     xs[mask], ys, layer,
+                                     truncation_x=truncation_x)
     else:
         vals = np.zeros_like(fd.values)
         for m in problem.trace.modes:
             for amp, trig in ((m.cos_amp, "cos"), (m.sin_amp, "sin")):
                 if not np.any(amp != 0.0):
                     continue
-                sol = oracle.robin_mode_solution(problem, m.omega, amp, trig,
-                                                 truncation_x=truncation_x)
+                sol = _oracle(oracle.robin_mode_solution, problem, m.omega,
+                              amp, trig, truncation_x=truncation_x)
                 vals += sol.values(xs, ys)
     return FieldGrid(fd.x_range, fd.y_range, vals, fd.layer_boundary)
 

@@ -167,18 +167,6 @@ def scaling_op(a: SpectralMatrix, l: float) -> TermSumOperator:
     return TermSumOperator(a.dim, terms)
 
 
-def compose(a: TermSumOperator, b: TermSumOperator) -> TermSumOperator:
-    return a.compose(b)
-
-
-def merge_prune(a: TermSumOperator, prune_tol: float = 0.0) -> TermSumOperator:
-    return a.merged(prune_tol)
-
-
-def apply(a: TermSumOperator, f: Callable, x):
-    return a.apply(f, x)
-
-
 class ImageSeries(NamedTuple):
     """Truncated image-series operators for the two layers plus diagnostics.
 

@@ -65,22 +65,36 @@ def shared_eigensystem(mats: list[SpectralMatrix]):
 # Mode matching
 
 
+def _exp_pair_values(omega, trig, basis, alpha, e_minus, e_plus, xs, ys,
+                     dx_order: int) -> np.ndarray:
+    """Field sum_i basis[:, i] (e_minus_i e^{-k_i x} + e_plus_i e^{k_i x})
+    trig(omega y) with k = omega / alpha, on the (xs, ys) nodes, shape
+    (nx, ny, n); dx_order=1 gives its x-derivative."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.asarray(ys, dtype=float)
+    k = omega / alpha
+    em = np.exp(-np.outer(xs, k))
+    ep = np.exp(np.outer(xs, k))
+    if dx_order == 1:
+        em = -k[None, :] * em
+        ep = k[None, :] * ep
+    coef = em * e_minus[None, :] + ep * e_plus[None, :]
+    wave = np.cos(omega * ys) if trig == "cos" else np.sin(omega * ys)
+    return (coef @ basis.T)[:, None, :] * wave[None, :, None]
+
+
 @dataclass(frozen=True)
 class ModeMatchSolution:
     """Exact per-frequency two-layer solution.
 
-    c1, c2 are the decaying/growing layer-1 amplitudes and c3 the decaying
-    layer-2 amplitude, in physical coordinates. A nonzero growing layer-2
-    amplitude c4 appears only for the truncated-domain variant (zero far
-    boundary at x = truncation_x).
+    e1, e2 are the decaying/growing layer-1 amplitudes and e3 the decaying
+    layer-2 amplitude in the shared eigenbasis (physical amplitudes are
+    basis @ e*). A nonzero growing layer-2 amplitude e4 appears only for
+    the truncated-domain variant (zero far boundary at x = truncation_x).
     """
 
     omega: float
     trig: str
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
     basis: np.ndarray
     alpha1: np.ndarray
     alpha2: np.ndarray
@@ -90,35 +104,13 @@ class ModeMatchSolution:
     e4: np.ndarray
     truncation_x: float | None = None
 
-    def _wave(self, ys):
-        ys = np.asarray(ys, dtype=float)
-        if self.trig == "cos":
-            return np.cos(self.omega * ys)
-        return np.sin(self.omega * ys)
-
     def layer1_values(self, xs, ys, dx_order: int = 0) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        k = self.omega / self.alpha1
-        em = np.exp(-np.outer(xs, k))
-        ep = np.exp(np.outer(xs, k))
-        if dx_order == 1:
-            em = -k[None, :] * em
-            ep = k[None, :] * ep
-        coef = em * self.e1[None, :] + ep * self.e2[None, :]
-        phys = coef @ self.basis.T
-        return phys[:, None, :] * self._wave(ys)[None, :, None]
+        return _exp_pair_values(self.omega, self.trig, self.basis, self.alpha1,
+                                self.e1, self.e2, xs, ys, dx_order)
 
     def layer2_values(self, xs, ys, dx_order: int = 0) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        k = self.omega / self.alpha2
-        em = np.exp(-np.outer(xs, k))
-        ep = np.exp(np.outer(xs, k))
-        if dx_order == 1:
-            em = -k[None, :] * em
-            ep = k[None, :] * ep
-        coef = em * self.e3[None, :] + ep * self.e4[None, :]
-        phys = coef @ self.basis.T
-        return phys[:, None, :] * self._wave(ys)[None, :, None]
+        return _exp_pair_values(self.omega, self.trig, self.basis, self.alpha2,
+                                self.e3, self.e4, xs, ys, dx_order)
 
 
 def _mode_match(problem: TwoLayerProblem, omega: float, amp, trig: str,
@@ -167,11 +159,8 @@ def _mode_match(problem: TwoLayerProblem, omega: float, amp, trig: str,
                 f"mode-match residual {resid:.3g} too large")
         e[:sol.size, i] = sol
     return ModeMatchSolution(
-        omega=omega, trig=trig,
-        c1=q @ e[0], c2=q @ e[1], c3=q @ e[2], c4=q @ e[3],
-        basis=q, alpha1=d1, alpha2=d2,
-        e1=e[0], e2=e[1], e3=e[2], e4=e[3],
-        truncation_x=truncation_x)
+        omega=omega, trig=trig, basis=q, alpha1=d1, alpha2=d2,
+        e1=e[0], e2=e[1], e3=e[2], e4=e[3], truncation_x=truncation_x)
 
 
 def mode_match_two_layer(problem: TwoLayerProblem, omega: float, amp,
@@ -221,19 +210,8 @@ class RobinModeSolution:
     e_plus: np.ndarray
 
     def values(self, xs, ys, dx_order: int = 0) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.asarray(ys, dtype=float)
-        k = self.omega / self.alpha
-        em = np.exp(-np.outer(xs, k))
-        ep = np.exp(np.outer(xs, k))
-        if dx_order == 1:
-            em = -k[None, :] * em
-            ep = k[None, :] * ep
-        coef = em * self.e_minus[None, :] + ep * self.e_plus[None, :]
-        phys = coef @ self.basis.T
-        wave = np.cos(self.omega * ys) if self.trig == "cos" \
-            else np.sin(self.omega * ys)
-        return phys[:, None, :] * wave[None, :, None]
+        return _exp_pair_values(self.omega, self.trig, self.basis, self.alpha,
+                                self.e_minus, self.e_plus, xs, ys, dx_order)
 
 
 def robin_mode_solution(problem: RobinProblem, omega: float, amp,
@@ -283,6 +261,8 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
     trace = problem.trace
     if trace.samples is not None:
         raise ValueError("fd oracle covers mode traces only")
+    if nx < 3 or ny < 2:
+        raise ValueError(f"fd grid needs nx >= 3 and ny >= 2, got {nx} x {ny}")
     omega_min = trace.min_positive_omega
     if omega_min is None:
         raise TruncationTooSmallError(
@@ -294,7 +274,6 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
         lam_max = max(d1.max(), d2.max())
     else:
         q, qinv, (d1, dh) = shared_eigensystem([problem.a, problem.h])
-        d2 = d1
         lam_max = d1.max()
     if np.exp(-omega_min * truncation_x / lam_max) >= far_tol:
         raise TruncationTooSmallError(
@@ -320,63 +299,46 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
         if abs(il_float - il) > 1e-9 or not 2 <= il <= nx - 3:
             raise ValueError("interface must fall on an interior grid node "
                              "with two nodes on each side")
-    n = trace.dim
     rhs_modes = _trace_component_rhs(trace, qinv, ys)     # (ny, n)
 
-    u_eig = np.empty((nx, ny, n))
-    for k in range(n):
-        rows, cols, data = [], [], []
+    # The system is kron(Dx, I_y) + kron(diag(lap) cy, ring_y): Dx carries
+    # the x stencil and the boundary, interface and far rows, lap marks the
+    # rows that hold the 5-point Laplacian, ring_y its periodic y part.
+    lap = np.ones(nx)
+    lap[[0, nx - 1]] = 0.0
+    if two_layer:
+        lap[il] = 0.0
+    inner = np.flatnonzero(lap)
+    # At ny = 2 both y neighbours are the same node; their entries add up.
+    shift = sp.csr_matrix((np.ones(ny), (np.arange(ny),
+                                         (np.arange(ny) + 1) % ny)),
+                          shape=(ny, ny))
+    ring_y = (1.0 / hy ** 2) * (shift + shift.T - 2.0 * sp.identity(ny))
+    y_part = sp.kron(sp.diags(lap), ring_y, format="csr")
+
+    u_eig = np.empty((nx, ny, trace.dim))
+    for k in range(trace.dim):
+        ax = (np.where(xs <= problem.l, d1[k], d2[k]) if two_layer
+              else np.full(nx, d1[k]))
+        cx = ax * ax / hx ** 2
+        dx = sp.lil_matrix((nx, nx))
+        dx[inner, inner - 1] = dx[inner, inner + 1] = cx[inner]
+        dx[inner, inner] = -2.0 * cx[inner]
+        dx[nx - 1, nx - 1] = 1.0
+        if two_layer:
+            dx[0, 0] = 1.0
+            # lambda1 u_x(l-) = lambda2 u_x(l+), one-sided 2nd order
+            c1 = problem.lambda1 / (2.0 * hx)
+            c2 = problem.lambda2 / (2.0 * hx)
+            dx[il, il - 2:il + 3] = [c1, -4.0 * c1, 3.0 * c1 + 3.0 * c2,
+                                     -4.0 * c2, c2]
+        else:
+            # h u + u_x = f with one-sided second-order u_x
+            dx[0, :3] = [dh[k] - 3.0 / (2.0 * hx), 4.0 / (2.0 * hx),
+                         -1.0 / (2.0 * hx)]
+        mat = sp.kron(dx, sp.identity(ny), format="csr") + y_part
         b = np.zeros(nx * ny)
-
-        def idx(i, j):
-            return i * ny + (j % ny)
-
-        def put(r, i, j, val):
-            rows.append(r)
-            cols.append(idx(i, j))
-            data.append(val)
-
-        for i in range(nx):
-            if two_layer:
-                ai = d1[k] if xs[i] <= problem.l else d2[k]
-            else:
-                ai = d1[k]
-            cx = ai * ai / hx ** 2
-            cy = 1.0 / hy ** 2
-            for j in range(ny):
-                r = idx(i, j)
-                if i == 0:
-                    if two_layer:
-                        put(r, 0, j, 1.0)
-                        b[r] = rhs_modes[j, k]
-                    else:
-                        # h u + u_x = f with one-sided second-order u_x
-                        put(r, 0, j, dh[k] - 3.0 / (2.0 * hx))
-                        put(r, 1, j, 4.0 / (2.0 * hx))
-                        put(r, 2, j, -1.0 / (2.0 * hx))
-                        b[r] = rhs_modes[j, k]
-                elif i == nx - 1:
-                    put(r, i, j, 1.0)
-                    b[r] = 0.0
-                elif two_layer and i == il:
-                    # lambda1 u_x(l-) = lambda2 u_x(l+), one-sided 2nd order
-                    c1 = problem.lambda1 / (2.0 * hx)
-                    c2 = problem.lambda2 / (2.0 * hx)
-                    put(r, i, j, 3.0 * c1 + 3.0 * c2)
-                    put(r, i - 1, j, -4.0 * c1)
-                    put(r, i - 2, j, c1)
-                    put(r, i + 1, j, -4.0 * c2)
-                    put(r, i + 2, j, c2)
-                    b[r] = 0.0
-                else:
-                    put(r, i, j, -2.0 * (cx + cy))
-                    put(r, i - 1, j, cx)
-                    put(r, i + 1, j, cx)
-                    put(r, i, j - 1, cy)
-                    put(r, i, j + 1, cy)
-                    b[r] = 0.0
-
-        mat = sp.csr_matrix((data, (rows, cols)), shape=(nx * ny, nx * ny))
+        b[:ny] = rhs_modes[:, k]
         sol = spsolve(mat, b)
         resid = np.abs(mat @ sol - b).max()
         if not np.all(np.isfinite(sol)) or resid > 1e-10 * max(1.0, np.abs(b).max()):

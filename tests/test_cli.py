@@ -197,6 +197,53 @@ class TestMainExitCodes:
         # far-field truncation guard trips -> numerical failure
         assert main(["verify", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("verify, trace, extra, message", [
+        ({"fd_oracle": True, "fd_ny": 0}, None, (), "ny >= 2"),
+        ({"fd_oracle": True, "fd_ny": 1}, None, (), "ny >= 2"),
+        ({"fd_oracle": True, "fd_nx": 5}, None, (), "interface"),
+        ({}, None, ("--resolutions", "66"), "interface"),
+        ({"fd_oracle": True},
+         {"modes": [{"omega": 1.0, "cos_amp": 1.0},
+                    {"omega": 1.5, "cos_amp": 0.5}]}, (), "not periodic"),
+        ({"mode_match_oracle": True},
+         {"samples": {"y": [-10.0 + 0.5 * k for k in range(41)],
+                      "values": [1.0 / (1.0 + (-10.0 + 0.5 * k) ** 2)
+                                 for k in range(41)]}}, (),
+         "mode traces only"),
+        ({"fd_oracle": True, "mode_match_oracle": True},
+         {"modes": [{"omega": 0.0, "cos_amp": 1.0},
+                    {"omega": 1.0, "cos_amp": 1.0}]}, (), "omega > 0"),
+    ], ids=["fd_ny_0", "fd_ny_1", "fd_nx_5", "resolution_66",
+            "y_not_periodic", "sampled_mode_match", "omega_0_mode_match"])
+    def test_unhonoured_oracle_setting_is_validation_failure(
+            self, tmp_path, capsys, verify, trace, extra, message):
+        raw = make_config(tmp_path, overrides={
+            "grid": {"x_range": [0.0, 3.0], "y_range": [0.0, 6.0],
+                     "nx": 9, "ny": 9},
+            "verify": verify})
+        if trace is not None:
+            raw["problem"]["trace"] = trace
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        verb = "convergence" if extra else "verify"
+        assert main([verb, "--config", str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    def test_robin_fd_grid_too_short_is_validation_failure(self, tmp_path,
+                                                           capsys):
+        raw = {"problem": {"kind": "robin", "a": 1.0, "h": -1.0,
+                           "trace": {"modes": [{"omega": 1.0,
+                                                "cos_amp": 1.0}]}},
+               "grid": {"x_range": [0.0, 2.0], "y_range": [-3.0, 3.0],
+                        "nx": 9, "ny": 9},
+               "verify": {"fd_oracle": True, "fd_nx": 2},
+               "output": {"dir": str(tmp_path / "r")}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "nx >= 3" in capsys.readouterr().err
+
     def test_mode_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(make_config(tmp_path)))

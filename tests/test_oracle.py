@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from layerfield.basefield import BoundaryTrace, FieldGrid, GridSpec, cosine_trace
+from layerfield.basefield import (
+    BoundaryTrace,
+    FieldGrid,
+    GridSpec,
+    TraceMode,
+    boundary_values,
+    cosine_trace,
+)
 from layerfield.errors import (
     GridMismatchError,
     SharedBasisRequiredError,
@@ -39,6 +46,69 @@ def two_layer_truncated_reference(problem, fd):
     return FieldGrid(fd.x_range, fd.y_range, vals, fd.layer_boundary)
 
 
+def _rel(*terms):
+    """Largest |sum of terms| over the largest sum of |terms|."""
+    terms = np.broadcast_arrays(*terms)
+    return np.abs(sum(terms)).max() / np.sum(np.abs(terms), axis=0).max()
+
+
+def fd_row_residuals(problem, fd):
+    """Relative residual of each documented fd row family, from the solved
+    field mapped back to the shared eigenbasis."""
+    two_layer = isinstance(problem, TwoLayerProblem)
+    mats = [problem.a1, problem.a2] if two_layer else [problem.a, problem.h]
+    _, qinv, (d1, d2) = shared_eigensystem(mats)
+    u = fd.values @ qinv.T                                  # (nx, ny, n)
+    f = boundary_values(problem.trace, fd.y_nodes) @ qinv.T  # (ny, n)
+    hx, hy, nx = fd.hx, fd.hy, fd.nx
+    if two_layer:
+        il = int(round(problem.l / hx))
+        alpha = np.where((fd.x_nodes <= problem.l)[:, None], d1, d2)
+    else:
+        il = None
+        alpha = np.broadcast_to(d1, (nx, d1.size))
+    cx = (alpha * alpha / hx ** 2)[:, None, :]
+    cy = 1.0 / hy ** 2
+    rows = [i for i in range(1, nx - 1) if i != il]
+    out = {"laplace": _rel(cx[rows] * u[[i - 1 for i in rows]],
+                           -2.0 * cx[rows] * u[rows],
+                           cx[rows] * u[[i + 1 for i in rows]],
+                           cy * np.roll(u, 1, axis=1)[rows],
+                           -2.0 * cy * u[rows],
+                           cy * np.roll(u, -1, axis=1)[rows]),
+           "far": np.abs(u[-1]).max() / np.abs(u).max()}
+    if two_layer:
+        out["dirichlet"] = _rel(u[0], -f)
+        c1 = problem.lambda1 / (2.0 * hx)
+        c2 = problem.lambda2 / (2.0 * hx)
+        out["interface_flux"] = _rel(
+            3.0 * c1 * u[il], -4.0 * c1 * u[il - 1], c1 * u[il - 2],
+            3.0 * c2 * u[il], -4.0 * c2 * u[il + 1], c2 * u[il + 2])
+    else:
+        out["robin"] = _rel(d2 * u[0], -3.0 * u[0] / (2.0 * hx),
+                            4.0 * u[1] / (2.0 * hx), -u[2] / (2.0 * hx), -f)
+    return out
+
+
+def _fd_row_cases():
+    pair = np.array([[2.0, 1.0], [1.0, 2.0]])
+    tr2 = BoundaryTrace(dim=2, modes=(
+        TraceMode(1.0, np.array([1.0, -0.5]), np.array([0.3, 0.2])),
+        TraceMode(2.0, np.array([0.4, 0.1]), np.array([0.0, -0.7]))))
+    a1, a2 = eigendecompose(pair), eigendecompose(pair + np.eye(2))
+    robin = RobinProblem(a1, eigendecompose(-np.eye(2) - 0.25 * pair), tr2)
+    # X = 16 and nx = 33 give hx = 0.5: l = 1 puts the interface on node 2,
+    # l = 15 on node nx - 3.
+    return {
+        "interface_node_2_ny_2": (
+            TwoLayerProblem(a1, a2, 1.0, 3.0, 1.0, tr2), 16.0, 33, 2),
+        "interface_node_nx_minus_3": (
+            TwoLayerProblem(a1, a2, 2.0, 0.5, 15.0, tr2), 16.0, 33, 12),
+        "robin_n2": (robin, 16.0, 41, 10),
+        "robin_n2_ny_2": (robin, 16.0, 41, 2),
+    }
+
+
 class TestSharedEigensystem:
     def test_diagonal_pair(self):
         q, qinv, (d1, d2) = shared_eigensystem(
@@ -66,9 +136,9 @@ class TestModeMatch:
         a = eigendecompose(1.0)
         prob = TwoLayerProblem(a, a, 1.0, 1.0, 1.0, cosine_trace(1.0, [1.0]))
         sol = mode_match_two_layer(prob, 1.0, [1.0])
-        assert sol.c1[0] == pytest.approx(1.0, abs=1e-14)
-        assert sol.c2[0] == pytest.approx(0.0, abs=1e-14)
-        assert sol.c3[0] == pytest.approx(1.0, abs=1e-14)
+        assert (sol.basis @ sol.e1)[0] == pytest.approx(1.0, abs=1e-14)
+        assert (sol.basis @ sol.e2)[0] == pytest.approx(0.0, abs=1e-14)
+        assert (sol.basis @ sol.e3)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_benchmark_spot_value(self, benchmark_problem):
         # frozen from the geometric image series summed in closed form
@@ -81,7 +151,8 @@ class TestModeMatch:
 
     def test_amplitude_split_invariant(self, benchmark_problem):
         sol = mode_match_two_layer(benchmark_problem, 1.0, [1.0])
-        assert np.allclose(sol.c1 + sol.c2, [1.0], atol=1e-14)
+        assert np.allclose(sol.basis @ sol.e1 + sol.basis @ sol.e2, [1.0],
+                           atol=1e-14)
 
     def test_interface_conditions_satisfied(self, benchmark_problem):
         sol = mode_match_two_layer(benchmark_problem, 1.0, [1.0])
@@ -200,6 +271,21 @@ class TestFdSolve:
     def test_interface_must_be_a_node(self, benchmark_problem):
         with pytest.raises(ValueError):
             fd_solve(benchmark_problem, 8.0, 18, 8)
+
+    @pytest.mark.parametrize("case", sorted(_fd_row_cases()))
+    def test_solution_satisfies_documented_rows(self, case):
+        problem, truncation_x, nx, ny = _fd_row_cases()[case]
+        fd = fd_solve(problem, truncation_x, nx, ny)
+        residuals = fd_row_residuals(problem, fd)
+        assert set(residuals) >= {"laplace", "far"}
+        for name, rel in residuals.items():
+            assert rel <= 1e-10, (name, rel)
+
+    @pytest.mark.parametrize("nx, ny", [(17, 1), (17, 0), (2, 8)])
+    def test_degenerate_grid_rejected_up_front(self, scalar_robin_problem,
+                                               nx, ny):
+        with pytest.raises(ValueError, match="nx >= 3 and ny >= 2"):
+            fd_solve(scalar_robin_problem, 8.0, nx, ny)
 
     def test_vector_problem_matches_scalar_runs(self):
         a1 = eigendecompose(np.diag([1.0, 1.0]))
