@@ -189,17 +189,30 @@ class FieldGrid:
         return (self.y_range[1] - self.y_range[0]) / (self.ny - 1)
 
 
-def _mode_values(trace: BoundaryTrace, xs, ys, dx_order: int) -> np.ndarray:
+def _mode_values(trace: BoundaryTrace, terms, xs, ys,
+                 dx_order: int) -> np.ndarray:
+    """sum_k M_k d^j/dx^j g(alpha_k x + beta_k, y) over the trace's modes g,
+    for the term list ``terms`` of (M_k, alpha_k, beta_k) and j = dx_order.
+
+    Each mode's field is separable: an (nx, n, n) x-factor, summed over the
+    terms, times the (ny, n) wave in y.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     out = np.zeros((xs.size, ys.size, trace.dim))
+    if not (trace.modes and terms):
+        return out
+    weights = np.array([t[0] for t in terms])              # (T, n, n)
+    alphas = np.array([t[1] for t in terms])[:, None]
+    args = alphas * xs[None, :] + np.array([t[2] for t in terms])[:, None]
     for m in trace.modes:
-        ex = np.exp(-m.omega * xs)
+        ex = np.exp(-m.omega * args)                       # (T, nx)
         if dx_order == 1:
-            ex = -m.omega * ex
+            ex = (-m.omega * alphas) * ex
+        xfac = np.tensordot(ex, weights, axes=(0, 0))      # (nx, n, n)
         wave = (np.cos(m.omega * ys)[:, None] * m.cos_amp[None, :]
                 + np.sin(m.omega * ys)[:, None] * m.sin_amp[None, :])
-        out += ex[:, None, None] * wave[None, :, :]
+        out += wave @ xfac.transpose(0, 2, 1)
     return out
 
 
@@ -257,7 +270,8 @@ def extension_values(trace: BoundaryTrace, xs, ys,
         raise ValueError("dx_order must be 0 or 1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    out = _mode_values(trace, xs, ys, dx_order)
+    out = _mode_values(trace, ((np.eye(trace.dim), 1.0, 0.0),), xs, ys,
+                       dx_order)
     if trace.samples is not None:
         out = out + _sample_values(trace, xs, ys, dx_order)
     return out

@@ -78,13 +78,6 @@ def _number(obj, where: str) -> float:
     return float(obj)
 
 
-def _positive(obj, where: str) -> float:
-    v = _number(obj, where)
-    if v <= 0.0:
-        raise ValidationError(f"{where} must be positive")
-    return v
-
-
 def _integer(obj, where: str, minimum: int = 0) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ValidationError(f"{where} must be an integer")
@@ -115,6 +108,15 @@ def _vector(obj, where: str, dim: int | None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValidationError(f"{where} must have length {dim}")
     return v
+
+
+def _validated(where: str, make, *args):
+    """make(*args), with a rejection by the value type or the spectral
+    decomposition reported as a config error at ``where``."""
+    try:
+        return make(*args)
+    except (LayerFieldError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _parse_trace(obj, where: str, dim: int) -> BoundaryTrace:
@@ -149,10 +151,11 @@ def _parse_trace(obj, where: str, dim: int) -> BoundaryTrace:
         if vals.ndim == 1:
             vals = vals[:, None]
         samples = (y, vals)
-    try:
-        return BoundaryTrace(dim=dim, modes=tuple(modes), samples=samples)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return _validated(where, BoundaryTrace, dim, tuple(modes), samples)
+
+
+def _spectral_matrix(obj, where: str):
+    return _validated(where, eigendecompose, _matrix(obj, where))
 
 
 def _parse_problem(obj, where: str = "problem"):
@@ -164,43 +167,24 @@ def _parse_problem(obj, where: str = "problem"):
         for key in ("a", "h", "trace"):
             if key not in obj:
                 raise ValidationError(f"{where}.{key} is required")
-        try:
-            a = eigendecompose(_matrix(obj["a"], f"{where}.a"))
-            h = eigendecompose(_matrix(obj["h"], f"{where}.h"))
-        except LayerFieldError as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"{where}: {exc}") from exc
+        a = _spectral_matrix(obj["a"], f"{where}.a")
+        h = _spectral_matrix(obj["h"], f"{where}.h")
         trace = _parse_trace(obj["trace"], f"{where}.trace", a.dim)
-        try:
-            return RobinProblem(a, h, trace)
-        except (LayerFieldError, ValueError) as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        return _validated(where, RobinProblem, a, h, trace)
     if kind == "two_layer":
         _require_keys(obj, {"kind", "a1", "a2", "lambda1", "lambda2", "l",
                             "trace"}, where)
         for key in ("a1", "a2", "lambda1", "lambda2", "l", "trace"):
             if key not in obj:
                 raise ValidationError(f"{where}.{key} is required")
-        try:
-            a1 = eigendecompose(_matrix(obj["a1"], f"{where}.a1"))
-            a2 = eigendecompose(_matrix(obj["a2"], f"{where}.a2"))
-        except LayerFieldError as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"{where}: {exc}") from exc
+        a1 = _spectral_matrix(obj["a1"], f"{where}.a1")
+        a2 = _spectral_matrix(obj["a2"], f"{where}.a2")
         lambda1 = _number(obj["lambda1"], f"{where}.lambda1")
-        if lambda1 <= 0:
-            raise ValidationError("lambda1 must be positive")
         lambda2 = _number(obj["lambda2"], f"{where}.lambda2")
-        if lambda2 <= 0:
-            raise ValidationError("lambda2 must be positive")
-        l = _positive(obj["l"], f"{where}.l")
+        l = _number(obj["l"], f"{where}.l")
         trace = _parse_trace(obj["trace"], f"{where}.trace", a1.dim)
-        try:
-            return TwoLayerProblem(a1, a2, lambda1, lambda2, l, trace)
-        except (LayerFieldError, ValueError) as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+        return _validated(where, TwoLayerProblem, a1, a2, lambda1, lambda2,
+                          l, trace)
     raise ValidationError(f"{where}.kind must be 'robin' or 'two_layer'")
 
 
@@ -220,10 +204,8 @@ def _parse_grid(obj, where: str = "grid") -> GridSpec:
                        _number(r[1], f"{where}.{key}[1]"))
     nx = _integer(obj["nx"], f"{where}.nx", minimum=2)
     ny = _integer(obj["ny"], f"{where}.ny", minimum=2)
-    try:
-        return GridSpec(ranges["x_range"], ranges["y_range"], nx, ny)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return _validated(where, GridSpec, ranges["x_range"], ranges["y_range"],
+                      nx, ny)
 
 
 def _parse_section(obj, defaults: dict, where: str) -> dict:
@@ -273,6 +255,9 @@ def parse_config(text: str) -> RunConfig:
     if solver["eps_max"] <= 0:
         raise ValidationError("solver.eps_max must be positive")
     verify = _parse_section(obj.get("verify"), _VERIFY_DEFAULTS, "verify")
+    for key in ("fd_x", "far_tol"):
+        if verify[key] <= 0:
+            raise ValidationError(f"verify.{key} must be positive")
     out_obj = obj.get("output") or {}
     if not isinstance(out_obj, dict):
         raise ValidationError("output must be an object")
@@ -454,15 +439,15 @@ def _solution_on_nodes(cfg: RunConfig, xs, ys) -> np.ndarray:
                                          eps_max=s["eps_max"],
                                          quad_tol=s["quad_tol"])
         return vals
+    series = transmute.build_layer_operators(
+        p, cfg.mode, series_tol=s["series_tol"], j_max=s["j_max"],
+        prune_tol=s["prune_tol"])
     xs = np.asarray(xs, dtype=float)
     out = np.empty((xs.size, np.asarray(ys).size, p.dim))
     mask1 = xs <= p.l
-    for layer, mask in ((1, mask1), (2, ~mask1)):
+    for op, mask in ((series.layer1, mask1), (series.layer2, ~mask1)):
         if np.any(mask):
-            out[mask] = transmute.two_layer_values(
-                p, layer, xs[mask], ys, cfg.mode,
-                series_tol=s["series_tol"], j_max=s["j_max"],
-                prune_tol=s["prune_tol"])
+            out[mask] = transmute.apply_operator(op, p.trace, xs[mask], ys)
     return out
 
 

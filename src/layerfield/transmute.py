@@ -29,6 +29,9 @@ from .basefield import (
     BoundaryTrace,
     FieldGrid,
     GridSpec,
+    TraceMode,
+    _mode_values,
+    _sample_values,
     boundary_values,
     extension_values,
     laplace_residual_linf,
@@ -45,6 +48,7 @@ from .errors import (
 from .report import SolveReport
 from .spectral import (
     SpectralMatrix,
+    apply_scalar_fn,
     commutator_norm,
     eigendecompose,
     spectrum_in_halfplane,
@@ -110,8 +114,10 @@ class TwoLayerProblem:
         if not (spectrum_in_halfplane(self.a1, "right")
                 and spectrum_in_halfplane(self.a2, "right")):
             raise SpectrumViolationError("layer spectra must lie in x > 0")
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
-            raise ValueError("conductivities must be positive")
+        if self.lambda1 <= 0.0:
+            raise ValueError("lambda1 must be positive")
+        if self.lambda2 <= 0.0:
+            raise ValueError("lambda2 must be positive")
         if self.l <= 0.0:
             raise ValueError("interface abscissa l must be positive")
 
@@ -164,40 +170,13 @@ def _gauss_nodes(lo: float, hi: float, panels: int, order: int = 8):
     return nodes, weights
 
 
-def _eps_cutoff(problem: RobinProblem, eps_max: float, quad_tol: float) -> float:
-    ah = eigendecompose(problem.a.entries @ problem.h.entries)
-    rate = float(np.abs(ah.eigenvalues).min())
-    return min(eps_max, -np.log(quad_tol) / rate)
-
-
-def _robin_mode_kernels(problem: RobinProblem, omegas, eps_hi: float,
-                        quad_tol: float, max_doublings: int = 12):
-    """K(omega) = int_0^eps_hi e^{-omega eps} e^{a h eps} d eps for each
-    omega, by panel-doubling composite Gauss quadrature."""
-    ah = eigendecompose(problem.a.entries @ problem.h.entries)
-    kernels = {}
-    worst = 0.0
-    for omega in omegas:
-        panels = 4
-        prev = None
-        while True:
-            nodes, wts = _gauss_nodes(0.0, eps_hi, panels)
-            # e^{ah eps} at all nodes via the cached eigensystem of ah
-            exps = np.exp(np.outer(nodes, ah.eigenvalues) - omega * nodes[:, None])
-            cur = np.einsum("q,ik,qk,kj->ij", wts, ah.eigvecs, exps,
-                            ah.eigvecs_inv)
-            if prev is not None:
-                delta = float(np.linalg.norm(cur - prev))
-                if delta <= quad_tol * max(1.0, float(np.linalg.norm(cur))):
-                    kernels[omega] = cur
-                    worst = max(worst, delta)
-                    break
-            prev = cur
-            panels *= 2
-            if panels > 4 * 2 ** max_doublings:
-                raise QuadratureFailureError(
-                    f"kernel quadrature for omega={omega} did not converge")
-    return kernels, worst
+def _robin_kernel(ah: SpectralMatrix, omega: float,
+                  eps_hi: float) -> np.ndarray:
+    """K(omega) = int_0^eps_hi e^{-omega eps} e^{a h eps} d eps in closed
+    form, (omega I - ah)^{-1} (I - e^{(ah - omega I) eps_hi}). sigma(ah) < 0
+    for a commuting Robin pair, so omega - mu never vanishes."""
+    return apply_scalar_fn(
+        ah, lambda mu: -np.expm1((mu - omega) * eps_hi) / (omega - mu))
 
 
 def robin_values(problem: RobinProblem, xs, ys, mode: ConventionMode,
@@ -206,37 +185,34 @@ def robin_values(problem: RobinProblem, xs, ys, mode: ConventionMode,
     """Robin solution (or its x-derivative) at the given nodes.
 
     Returns (values, quadrature_error) with values of shape
-    (len(xs), len(ys), n).
+    (len(xs), len(ys), n). The boundary-layer integral is cut at
+    E = min(eps_max, -ln(quad_tol) / min|sigma(a h)|). Mode parts use the
+    exact kernel K(omega), so only a sampled part adds quadrature error.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     a = problem.a
     n = problem.dim
-    eps_hi = _eps_cutoff(problem, eps_max, quad_tol)
+    ah = eigendecompose(a.entries @ problem.h.entries)
+    eps_hi = min(eps_max,
+                 -np.log(quad_tol) / float(np.abs(ah.eigenvalues).min()))
     out = np.zeros((xs.size, ys.size, n))
     quad_err = 0.0
 
     trace = problem.trace
     if trace.modes:
-        omegas = sorted({m.omega for m in trace.modes})
-        kernels, quad_err = _robin_mode_kernels(problem, omegas, eps_hi,
-                                                quad_tol)
+        # sum_i P_i [K(omega) a amp] e^{-omega x / lambda_i} per mode
+        modes = []
         for m in trace.modes:
-            k_mat = kernels[m.omega] @ a.entries
-            cvec = k_mat @ m.cos_amp
-            svec = k_mat @ m.sin_amp
-            wave = (np.cos(m.omega * ys)[:, None] * cvec[None, :]
-                    + np.sin(m.omega * ys)[:, None] * svec[None, :])
-            for i, lam in enumerate(a.eigenvalues):
-                ex = np.exp(-m.omega * xs / lam)
-                if dx_order == 1:
-                    ex = (-m.omega / lam) * ex
-                proj_wave = wave @ a.projector(i).T
-                out += ex[:, None, None] * proj_wave[None, :, :]
+            k_mat = _robin_kernel(ah, m.omega, eps_hi) @ a.entries
+            modes.append(TraceMode(m.omega, k_mat @ m.cos_amp,
+                                   k_mat @ m.sin_amp))
+        out += apply_operator(opalgebra.scaling_op(a, 0.0),
+                              BoundaryTrace(n, tuple(modes)), xs, ys,
+                              dx_order)
 
     if trace.samples is not None:
         sample_trace = BoundaryTrace(dim=n, samples=trace.samples)
-        ah = eigendecompose(a.entries @ problem.h.entries)
         panels = 8
         prev = None
         while True:
@@ -326,16 +302,20 @@ def apply_operator(op: opalgebra.TermSumOperator, trace: BoundaryTrace,
     """Evaluate an operator applied to the base field on an x-y node set.
 
     dx_order=1 gives the x-derivative (chain rule through each term's
-    argument map). Shape (len(xs), len(ys), n).
+    argument map). Shape (len(xs), len(ys), n). Modes are summed over all
+    terms in one separable pass; a sampled part is evaluated term by term.
     """
+    if dx_order not in (0, 1):
+        raise ValueError("dx_order must be 0 or 1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    out = np.zeros((xs.size, ys.size, op.dim))
-    for m, alpha, beta in op.terms:
-        ext = extension_values(trace, alpha * xs + beta, ys, dx_order=dx_order)
-        if dx_order == 1:
-            ext = alpha * ext
-        out += np.einsum("ij,xyj->xyi", m, ext)
+    out = _mode_values(trace, op.terms, xs, ys, dx_order)
+    if trace.samples is not None:
+        for m, alpha, beta in op.terms:
+            ext = _sample_values(trace, alpha * xs + beta, ys, dx_order)
+            if dx_order == 1:
+                ext = alpha * ext
+            out += np.einsum("ij,xyj->xyi", m, ext)
     return out
 
 
@@ -394,16 +374,10 @@ def solve_two_layer(problem: TwoLayerProblem, grid: GridSpec,
     and flux gaps, the discrete interior PDE residual, and the series
     truncation diagnostics.
     """
-    g1spec, g2spec = split_grid_at_interface(grid, problem.l)
     series = build_layer_operators(problem, mode, series_tol, j_max, prune_tol)
+    field1, field2 = _fields_from_operators(problem, grid, series.layer1,
+                                            series.layer2)
     trace = problem.trace
-
-    v1 = apply_operator(series.layer1, trace, g1spec.x_nodes, g1spec.y_nodes)
-    v2 = apply_operator(series.layer2, trace, g2spec.x_nodes, g2spec.y_nodes)
-    field1 = FieldGrid(g1spec.x_range, g1spec.y_range, v1,
-                       layer_boundary=problem.l)
-    field2 = FieldGrid(g2spec.x_range, g2spec.y_range, v2,
-                       layer_boundary=problem.l)
 
     ys = grid.y_nodes
     u1_0 = apply_operator(series.layer1, trace, [0.0], ys)[0]

@@ -213,8 +213,17 @@ class TestMainExitCodes:
         ({"fd_oracle": True, "mode_match_oracle": True},
          {"modes": [{"omega": 0.0, "cos_amp": 1.0},
                     {"omega": 1.0, "cos_amp": 1.0}]}, (), "omega > 0"),
+        ({"fd_x": 0.0}, None, ("--resolutions", "65"),
+         "verify.fd_x must be positive"),
+        ({"fd_oracle": True, "fd_x": 0.0}, None, (),
+         "verify.fd_x must be positive"),
+        ({"fd_oracle": True, "far_tol": 0.0}, None, (),
+         "verify.far_tol must be positive"),
+        ({"fd_oracle": True, "far_tol": -0.05}, None, (),
+         "verify.far_tol must be positive"),
     ], ids=["fd_ny_0", "fd_ny_1", "fd_nx_5", "resolution_66",
-            "y_not_periodic", "sampled_mode_match", "omega_0_mode_match"])
+            "y_not_periodic", "sampled_mode_match", "omega_0_mode_match",
+            "convergence_fd_x_0", "fd_x_0", "far_tol_0", "far_tol_negative"])
     def test_unhonoured_oracle_setting_is_validation_failure(
             self, tmp_path, capsys, verify, trace, extra, message):
         raw = make_config(tmp_path, overrides={

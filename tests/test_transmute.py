@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
 from conftest import benchmark_layer1_closed_form, benchmark_layer2_closed_form
 from layerfield.basefield import (
@@ -17,12 +19,15 @@ from layerfield.errors import (
     SingularMatrixError,
     SpectrumViolationError,
 )
+from layerfield.oracle import robin_mode_solution
 from layerfield.spectral import eigendecompose
 from layerfield.transmute import (
     ConventionMode,
     RobinProblem,
     TwoLayerProblem,
+    apply_operator,
     approximation_operators,
+    build_layer_operators,
     contraction_matrix,
     order0_approximation,
     order1_approximation,
@@ -33,10 +38,17 @@ from layerfield.transmute import (
     split_grid_at_interface,
     two_layer_values,
 )
-from layerfield.transmute import _robin_mode_kernels
+from layerfield.transmute import _robin_kernel
 
 LIT = ConventionMode.LITERAL
 CAL = ConventionMode.CALIBRATED
+
+# A commuting, non-diagonal Robin pair: a = Q diag(1, 2) Q^{-1},
+# h = Q diag(-1, -3) Q^{-1} with a non-orthogonal Q.
+_Q = np.array([[1.0, 0.4], [-0.3, 1.0]])
+_QINV = np.linalg.inv(_Q)
+NONDIAG_A = _Q @ np.diag([1.0, 2.0]) @ _QINV
+NONDIAG_H = _Q @ np.diag([-1.0, -3.0]) @ _QINV
 
 
 class TestReflectionCoefficient:
@@ -136,18 +148,36 @@ class TestRobinTransform:
             assert np.abs(uv[:, :, k] - sk[:, :, 0]).max() <= 1e-8
 
     def test_kernel_quadrature_against_resolvent(self):
-        # closed form: int_0^E e^{-w eps} e^{ah eps} deps
-        #            = (1 - e^{(mu-w)E}) / (w - mu) per eigenvalue mu of ah
-        a = eigendecompose(np.diag([1.0, 2.0]))
-        h = eigendecompose(np.diag([-1.0, -3.0]))
-        prob = RobinProblem(a, h, cosine_trace(1.0, [1.0, 1.0]))
-        omega = 1.0
+        # closed form (omega I - ah)^{-1} (I - e^{(ah - omega I) E}) against
+        # an independent quadrature of e^{-omega eps} expm(ah eps)
+        ah = NONDIAG_A @ NONDIAG_H
         eps_hi = 20.0
-        kernels, err = _robin_mode_kernels(prob, [omega], eps_hi, 1e-10)
-        mu = np.array([-1.0, -6.0])
-        ref = np.diag((1.0 - np.exp((mu - omega) * eps_hi)) / (omega - mu))
-        assert np.abs(kernels[omega] - ref).max() <= 1e-9
-        assert err <= 1e-9
+        for omega in (0.0, 1.0, 7.0):
+            ref, _ = quad_vec(
+                lambda eps: np.exp(-omega * eps) * expm(ah * eps),
+                0.0, eps_hi, epsabs=1e-13, epsrel=1e-13)
+            got = _robin_kernel(eigendecompose(ah), omega, eps_hi)
+            assert np.abs(got - ref).max() <= 1e-11
+
+    @pytest.mark.parametrize("mode, sign", [(LIT, -1.0), (CAL, 1.0)])
+    def test_nondiagonal_pair_against_mode_solution(self, mode, sign):
+        # literal output is minus the exact solution of h u + u_x = f
+        modes = (TraceMode(1.0, [1.0, -0.5], [0.0, 0.0]),
+                 TraceMode(2.5, [0.3, 0.2], [-0.7, 0.4]))
+        prob = RobinProblem(eigendecompose(NONDIAG_A),
+                            eigendecompose(NONDIAG_H),
+                            BoundaryTrace(dim=2, modes=modes))
+        xs = np.linspace(0.0, 3.0, 7)
+        ys = np.linspace(-2.0, 2.0, 9)
+        for dx_order in (0, 1):
+            ref = sum(robin_mode_solution(prob, m.omega, amp, trig).values(
+                          xs, ys, dx_order)
+                      for m in modes
+                      for amp, trig in ((m.cos_amp, "cos"), (m.sin_amp, "sin")))
+            got, err = robin_values(prob, xs, ys, mode, quad_tol=1e-12,
+                                    dx_order=dx_order)
+            assert np.abs(got - sign * ref).max() <= 1e-10
+            assert err == 0.0
 
     def test_interior_pde_residual_refines(self, scalar_robin_problem):
         res = []
@@ -194,6 +224,35 @@ class TestRobinTransform:
                              quad_tol=1e-8)
         vm, _ = robin_values(RobinProblem(a, h, tr_m), xs, ys, LIT)
         assert vs[0, 0, 0] == pytest.approx(vm[0, 0, 0], abs=5e-5)
+
+
+class TestApplyOperator:
+    @pytest.mark.parametrize("dx_order", [0, 1])
+    def test_against_per_term_extension(self, dx_order):
+        # sum_k M_k alpha_k^d g^(d)(alpha_k x + beta_k, y) over an image
+        # series with reflection terms, for a trace mixing modes (one of
+        # them omega = 0) and samples. a1 is scalar so that every term's
+        # argument stays >= 0 on layer 1, as the sampled part requires.
+        a1 = eigendecompose(1.5 * np.eye(2))
+        a2 = eigendecompose(_Q @ np.diag([3.0, 0.7]) @ _QINV)
+        ysamp = np.linspace(-6.0, 6.0, 25)
+        samples = (ysamp, np.stack([np.exp(-ysamp ** 2),
+                                    1.0 / (1.0 + ysamp ** 2)], axis=1))
+        trace = BoundaryTrace(dim=2, modes=(
+            TraceMode(0.0, [0.4, -0.2], [0.0, 0.0]),
+            TraceMode(1.0, [1.0, 0.5], [-0.3, 0.8])), samples=samples)
+        prob = TwoLayerProblem(a1, a2, 1.0, 3.0, 1.0, trace)
+        op = build_layer_operators(prob, CAL, series_tol=0.0, j_max=2).layer1
+        assert any(t.arg_scale < 0.0 for t in op.terms)
+        xs = np.linspace(0.1, 1.0, 5)
+        ys = np.linspace(-2.0, 2.0, 7)
+        ref = sum(alpha ** dx_order * np.einsum(
+                      "ij,xyj->xyi", m,
+                      extension_values(trace, alpha * xs + beta, ys,
+                                       dx_order=dx_order))
+                  for m, alpha, beta in op.terms)
+        got = apply_operator(op, trace, xs, ys, dx_order=dx_order)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestTwoLayerTransform:
