@@ -12,6 +12,7 @@ each segment), and reject x < 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,20 @@ class BoundaryTrace:
     def min_positive_omega(self) -> float | None:
         pos = [m.omega for m in self.modes if m.omega > _ZERO_OMEGA_TOL]
         return min(pos) if pos else None
+
+    @cached_property
+    def _envelope_constants(self):
+        amps = [np.linalg.norm(m.cos_amp) + np.linalg.norm(m.sin_amp)
+                for m in self.modes]
+        floor = (0.0 if self.samples is None
+                 else np.linalg.norm(self.samples[1], axis=1).max())
+        return np.array([m.omega for m in self.modes]), np.array(amps), floor
+
+    def envelope(self, s):
+        """G(s) = sum_m (|c_m| + |s_m|) e^{-omega_m s} + max_j |f_j|, which
+        bounds the base field's norm at every x >= s."""
+        omegas, amps, floor = self._envelope_constants
+        return np.exp(-np.multiply.outer(s, omegas)) @ amps + floor
 
 
 def cosine_trace(omega: float, amp) -> BoundaryTrace:

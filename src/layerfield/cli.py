@@ -30,7 +30,6 @@ _SOLVER_DEFAULTS = {
     "mode": "calibrated",
     "series_tol": 1e-10,
     "j_max": 64,
-    "prune_tol": 0.0,
     "quad_tol": 1e-9,
     "eps_max": 50.0,
 }
@@ -250,8 +249,6 @@ def parse_config(text: str) -> RunConfig:
     for key in ("series_tol", "quad_tol"):
         if solver[key] <= 0:
             raise ValidationError(f"solver.{key} must be positive")
-    if solver["prune_tol"] < 0:
-        raise ValidationError("solver.prune_tol must be nonnegative")
     if solver["eps_max"] <= 0:
         raise ValidationError("solver.eps_max must be positive")
     verify = _parse_section(obj.get("verify"), _VERIFY_DEFAULTS, "verify")
@@ -351,7 +348,7 @@ def _solve(cfg: RunConfig):
         return {"field": fld}, report
     f1, f2, report = transmute.solve_two_layer(
         p, cfg.grid, cfg.mode, series_tol=s["series_tol"],
-        j_max=s["j_max"], prune_tol=s["prune_tol"])
+        j_max=s["j_max"])
     return {"layer1": f1, "layer2": f2}, report
 
 
@@ -440,8 +437,7 @@ def _solution_on_nodes(cfg: RunConfig, xs, ys) -> np.ndarray:
                                          quad_tol=s["quad_tol"])
         return vals
     series = transmute.build_layer_operators(
-        p, cfg.mode, series_tol=s["series_tol"], j_max=s["j_max"],
-        prune_tol=s["prune_tol"])
+        p, cfg.mode, series_tol=s["series_tol"], j_max=s["j_max"])
     xs = np.asarray(xs, dtype=float)
     out = np.empty((xs.size, np.asarray(ys).size, p.dim))
     mask1 = xs <= p.l
@@ -480,10 +476,9 @@ def run_convergence(cfg: RunConfig, resolutions) -> int:
     rows = []
 
     truncation_x = v["fd_x"]
-    omega_min = p.trace.min_positive_omega
-    if omega_min is None:
+    if p.trace.min_positive_omega is None:
         raise ValidationError("convergence study needs a decaying mode trace")
-    y_span = 2.0 * np.pi / omega_min
+    y_span = _oracle(oracle.fd_y_span, p.trace)
     prev_err = None
     for nx in resolutions:
         ny = max(8, int(round((nx - 1) * y_span / truncation_x)))
@@ -501,8 +496,7 @@ def run_convergence(cfg: RunConfig, resolutions) -> int:
         prev_err = None
         for j in range(0, 7):
             f1, f2, _ = transmute.solve_two_layer(
-                p, grid, cfg.mode, series_tol=0.0, j_max=j,
-                prune_tol=cfg.solver["prune_tol"])
+                p, grid, cfg.mode, series_tol=0.0, j_max=j)
             err = 0.0
             for layer, fld in ((1, f1), (2, f2)):
                 ref = _oracle(oracle.mode_match_reference, p, fld.x_nodes,

@@ -70,4 +70,4 @@ class ValidationError(LayerFieldError):
 
 
 class SeriesDivergingWarning(UserWarning):
-    """Image series convergence heuristic failed; results may be unreliable."""
+    """j_max ended the image series with its error bound >= series_tol."""

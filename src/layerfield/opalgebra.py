@@ -84,11 +84,9 @@ class TermSumOperator:
                 out.append(term(m @ nmat, gamma * alpha, gamma * beta + delta))
         return TermSumOperator(self.dim, out)
 
-    def merged(self, prune_tol: float = 0.0) -> "TermSumOperator":
+    def merged(self) -> "TermSumOperator":
         """Canonical form: terms sharing (alpha, beta) within MERGE_TOL are
-        summed, then terms with ||M||_F <= prune_tol are dropped."""
-        if prune_tol < 0.0:
-            raise ValueError("prune_tol must be nonnegative")
+        summed, then terms with an exactly zero weight are dropped."""
         order = sorted(range(len(self.terms)),
                        key=lambda k: (self.terms[k].arg_scale,
                                       self.terms[k].arg_shift, k))
@@ -103,7 +101,7 @@ class TermSumOperator:
                     continue
             groups.append([np.array(t.weight), t.arg_scale, t.arg_shift])
         kept = [term(w, a, b) for w, a, b in groups
-                if np.linalg.norm(w) > prune_tol]
+                if np.linalg.norm(w) > 0.0]
         return TermSumOperator(self.dim, kept)
 
     def apply(self, f: Callable, x):
@@ -118,10 +116,6 @@ class TermSumOperator:
                            dtype=float)
             total = total + v @ m.T
         return total
-
-    def weight_norm(self) -> float:
-        """Sum of Frobenius norms of the term weights."""
-        return float(sum(np.linalg.norm(t.weight) for t in self.terms))
 
 
 def identity_op(n: int) -> TermSumOperator:
@@ -170,27 +164,33 @@ def scaling_op(a: SpectralMatrix, l: float) -> TermSumOperator:
 class ImageSeries(NamedTuple):
     """Truncated image-series operators for the two layers plus diagnostics.
 
-    orders_used counts the reflection orders summed (j = 0 .. orders_used-1),
-    last_term_norm is the total weight norm of the final added order
-    (truncation proxy), chi_radius the spectral radius of the contraction.
+    orders_used counts the orders summed (j = 0 .. orders_used-1);
+    last_term_norm is the error bound of the last one (see image_series).
     """
 
     layer1: TermSumOperator
     layer2: TermSumOperator
     orders_used: int
     last_term_norm: float
-    chi_radius: float
 
 
 def image_series(a1: SpectralMatrix, a2: SpectralMatrix, chi, l: float,
-                 j_max: int = 64, prune_tol: float = 0.0,
-                 series_tol: float = 0.0) -> ImageSeries:
+                 j_max: int = 64, series_tol: float = 0.0,
+                 envelope: Callable | None = None) -> ImageSeries:
     """Build the two-layer image-series operators.
 
-    layer1 = sum_j (R_a1 - S R_a1 U_chi) T_a1 (T_a1 U_chi T_a1)^j and
-    layer2 = sum_j (R_a2 - R_a2 U_chi) T_a1 (T_a1 U_chi T_a1)^j, truncated
-    when the added order's weight norm drops below series_tol (if positive)
-    or at j_max. Both operators come back merged and pruned.
+    With T^2 = shift_op(a1, 2l), D_0 = U T and D_j = (U T^2) D_{j-1}, order
+    j adds (R1 T^2) D_{j-1} - (S R1) D_j to layer 1 and
+    (R2 T^2) D_{j-1} - R2 D_j to layer 2 (R1 T, R2 T at j = 0). R1 T,
+    R1 T^2 and S R1 are P_i g(x / lambda_i), P_i g((x + l) / lambda_i) and
+    P_i g((l - x) / lambda_i): no two projectors of a1 are multiplied, and
+    every layer-1 argument is >= 0 on [0, l].
+
+    Term k has the bound ||M_k||_F G(s_k) / G(0), s_k its smallest argument
+    over its layer ([0, l] or x >= l) and G = ``envelope`` a decreasing
+    bound of the base field (None: constant). The series stops at the first
+    order whose summed bound is below series_tol (if positive), or at
+    j_max; terms bounded by eps times the order-0 bound are dropped.
     """
     if a1.dim != a2.dim:
         raise DimMismatchError("layer coefficient dims differ")
@@ -200,41 +200,44 @@ def image_series(a1: SpectralMatrix, a2: SpectralMatrix, chi, l: float,
             "layer coefficients must have positive spectra")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    if l <= 0.0:
+        raise ValueError("interface abscissa l must be positive")
     n = a1.dim
-
-    t_op = shift_op(a1, l)
     u_op = contraction_op(chi)
     if u_op.dim != n:
         raise DimMismatchError("chi dim does not match layer coefficients")
-    r1 = scaling_op(a1, l)
+
+    t_op, t2_op = shift_op(a1, l), shift_op(a1, 2.0 * l)
     r2 = scaling_op(a2, l)
-    s_op = reflection_op(l, n)
+    r1t2, r2t2 = scaling_op(a1, -l), r2.compose(t2_op)
+    ut2 = u_op.compose(t2_op)
+    sr1 = TermSumOperator(n, [term(m, -alpha, -beta) for m, alpha, beta
+                              in scaling_op(a1, l).terms])
+    envelope = envelope or np.ones_like
+    scale = max(float(envelope(0.0)), np.finfo(float).tiny)
 
-    front1 = r1 - s_op.compose(r1).compose(u_op)
-    front2 = r2 - r2.compose(u_op)
-    core = t_op.compose(u_op).compose(t_op)
+    def bounds(op: TermSumOperator, lo: float, hi: float) -> np.ndarray:
+        norms = np.array([np.linalg.norm(t.weight) for t in op.terms])
+        s_min = np.array([b + min(a * lo, a * hi) for _, a, b in op.terms])
+        return norms * (envelope(s_min) / scale)
 
-    acc = t_op
+    d_op = u_op.compose(t_op)                        # D_0
+    first1, first2 = scaling_op(a1, 0.0), r2.compose(t_op)
     terms1: list[OperatorTerm] = []
     terms2: list[OperatorTerm] = []
-    orders_used = 0
-    last_norm = float("inf")
     for j in range(j_max + 1):
-        add1 = front1.compose(acc).merged(0.0)
-        add2 = front2.compose(acc).merged(0.0)
-        terms1.extend(add1.terms)
-        terms2.extend(add2.terms)
-        orders_used = j + 1
-        last_norm = add1.weight_norm() + add2.weight_norm()
-        if series_tol > 0.0 and last_norm < series_tol:
+        add1 = (first1 - sr1.compose(d_op)).merged()
+        add2 = (first2 - r2.compose(d_op)).merged()
+        b1, b2 = bounds(add1, 0.0, l), bounds(add2, l, np.inf)
+        last_bound = float(sum(b1) + sum(b2))
+        floor = np.finfo(float).eps * last_bound if j == 0 else floor
+        terms1.extend(t for t, b in zip(add1.terms, b1) if b > floor)
+        terms2.extend(t for t, b in zip(add2.terms, b2) if b > floor)
+        if (series_tol > 0.0 and last_bound < series_tol) or j == j_max:
             break
-        if j < j_max:
-            acc = acc.compose(core).merged(0.0)
+        first1, first2 = r1t2.compose(d_op), r2t2.compose(d_op)
+        d_op = ut2.compose(d_op).merged()            # D_{j+1}
 
-    layer1 = TermSumOperator(n, terms1).merged(prune_tol)
-    layer2 = TermSumOperator(n, terms2).merged(prune_tol)
-    chi_mat = np.asarray(chi, dtype=float)
-    if chi_mat.ndim == 0:
-        chi_mat = chi_mat.reshape(1, 1)
-    chi_radius = float(np.abs(np.linalg.eigvals(chi_mat)).max())
-    return ImageSeries(layer1, layer2, orders_used, last_norm, chi_radius)
+    return ImageSeries(TermSumOperator(n, terms1).merged(),
+                       TermSumOperator(n, terms2).merged(), j + 1,
+                       last_bound)

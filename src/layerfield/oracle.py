@@ -248,9 +248,22 @@ def _trace_component_rhs(trace, qinv, ys) -> np.ndarray:
     return f @ qinv.T
 
 
+def fd_y_span(trace) -> float:
+    """The fd oracle's y period: the smallest k 2 pi / omega_min, k <= 16,
+    over which every mode of the trace is periodic."""
+    omega_min = trace.min_positive_omega
+    for k in range(1, 17):
+        cycles = [k * m.omega / omega_min for m in trace.modes]
+        if all(abs(c - round(c)) <= 1e-9 for c in cycles):
+            return k * 2.0 * np.pi / omega_min
+    raise ValueError("modes are not periodic over k 2 pi / omega_min for "
+                     "any k <= 16")
+
+
 def fd_solve(problem, truncation_x: float, nx: int, ny: int,
-             far_tol: float = 0.05, y_span: float | None = None) -> FieldGrid:
-    """Second-order finite-difference solve on [0, X] x one y period.
+             far_tol: float = 0.05) -> FieldGrid:
+    """Second-order finite-difference solve on [0, X] x one y period
+    (:func:`fd_y_span`).
 
     Mode traces only (so y can be made exactly periodic). Componentwise in
     the shared eigenbasis: 5-point interior stencil, one-sided second-order
@@ -281,12 +294,7 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
             f"{np.exp(-omega_min * truncation_x / lam_max):.3g} "
             f"exceeds far_tol={far_tol}")
 
-    y_span = y_span if y_span is not None else 2.0 * np.pi / omega_min
-    for m in trace.modes:
-        cycles = m.omega * y_span / (2.0 * np.pi)
-        if abs(cycles - round(cycles)) > 1e-9:
-            raise ValueError(f"mode omega={m.omega} is not periodic over "
-                             f"y span {y_span}")
+    y_span = fd_y_span(trace)
 
     hx = truncation_x / (nx - 1)
     hy = y_span / ny

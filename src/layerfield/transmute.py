@@ -319,54 +319,40 @@ def apply_operator(op: opalgebra.TermSumOperator, trace: BoundaryTrace,
     return out
 
 
-def _series_convergence_factor(problem: TwoLayerProblem,
-                               chi_radius: float) -> float:
-    """Heuristic per-order damping: spectral radius of chi times the mode
-    attenuation over one interface round trip. >= 1 means the truncation
-    proxy cannot be trusted."""
-    omega = problem.trace.min_positive_omega
-    has_nondecaying = (problem.trace.samples is not None
-                       or any(m.omega <= 1e-15 for m in problem.trace.modes))
-    if omega is None or has_nondecaying:
-        atten = 1.0
-    else:
-        atten = float(np.exp(-2.0 * omega * problem.l
-                             / problem.a1.eigenvalues.max()))
-    return chi_radius * atten
-
-
 def build_layer_operators(problem: TwoLayerProblem, mode: ConventionMode,
-                          series_tol: float = 1e-10, j_max: int = 64,
-                          prune_tol: float = 0.0) -> opalgebra.ImageSeries:
-    """Image-series operators for the problem in the given convention."""
+                          series_tol: float = 1e-10,
+                          j_max: int = 64) -> opalgebra.ImageSeries:
+    """Image-series operators for the problem in the given convention.
+
+    Warns SeriesDivergingWarning when series_tol > 0 and j_max ended the
+    series with its error bound still at or above series_tol.
+    """
     chi = contraction_matrix(problem, mode)
     series = opalgebra.image_series(problem.a1, problem.a2, chi, problem.l,
-                                    j_max=j_max, prune_tol=prune_tol,
-                                    series_tol=series_tol)
-    if _series_convergence_factor(problem, series.chi_radius) >= 1.0:
+                                    j_max=j_max, series_tol=series_tol,
+                                    envelope=problem.trace.envelope)
+    if series_tol > 0.0 and series.last_term_norm >= series_tol:
         warnings.warn(
-            "image series convergence heuristic failed "
-            f"(chi radius {series.chi_radius:.3g}); truncation proxy "
-            f"{series.last_term_norm:.3g} after {series.orders_used} orders",
+            f"image series stopped at j_max={j_max} with error bound "
+            f"{series.last_term_norm:.3g} >= series_tol={series_tol:.3g}",
             SeriesDivergingWarning, stacklevel=2)
     return series
 
 
 def two_layer_values(problem: TwoLayerProblem, layer: int, xs, ys,
                      mode: ConventionMode, series_tol: float = 1e-10,
-                     j_max: int = 64, prune_tol: float = 0.0,
-                     dx_order: int = 0) -> np.ndarray:
+                     j_max: int = 64, dx_order: int = 0) -> np.ndarray:
     """Point evaluation of the two-layer solution in layer 1 or 2."""
     if layer not in (1, 2):
         raise ValueError("layer must be 1 or 2")
-    series = build_layer_operators(problem, mode, series_tol, j_max, prune_tol)
+    series = build_layer_operators(problem, mode, series_tol, j_max)
     op = series.layer1 if layer == 1 else series.layer2
     return apply_operator(op, problem.trace, xs, ys, dx_order=dx_order)
 
 
 def solve_two_layer(problem: TwoLayerProblem, grid: GridSpec,
                     mode: ConventionMode, series_tol: float = 1e-10,
-                    j_max: int = 64, prune_tol: float = 0.0):
+                    j_max: int = 64):
     """Solve the two-layer problem on a grid split at the interface.
 
     Returns (layer1 FieldGrid, layer2 FieldGrid, SolveReport). The report
@@ -374,7 +360,7 @@ def solve_two_layer(problem: TwoLayerProblem, grid: GridSpec,
     and flux gaps, the discrete interior PDE residual, and the series
     truncation diagnostics.
     """
-    series = build_layer_operators(problem, mode, series_tol, j_max, prune_tol)
+    series = build_layer_operators(problem, mode, series_tol, j_max)
     field1, field2 = _fields_from_operators(problem, grid, series.layer1,
                                             series.layer2)
     trace = problem.trace
@@ -415,21 +401,23 @@ def approximation_operators(problem: TwoLayerProblem, order: int,
     """Low-order layer operators: order 0 is the base field pushed through
     each layer's argument map; order 1 adds the single-reflection
     correction. Returns a merged (layer1, layer2) pair."""
-    t_op = opalgebra.shift_op(problem.a1, problem.l)
-    r1 = opalgebra.scaling_op(problem.a1, problem.l)
-    r2 = opalgebra.scaling_op(problem.a2, problem.l)
-    op1 = r1.compose(t_op)
+    a1, l = problem.a1, problem.l
+    t_op = opalgebra.shift_op(a1, l)
+    r1 = opalgebra.scaling_op(a1, l)
+    r2 = opalgebra.scaling_op(problem.a2, l)
+    # R1 T, R1 T^2 built directly: a1 projector products leave x < 0 terms
+    op1 = opalgebra.scaling_op(a1, 0.0)
     op2 = r2.compose(t_op)
     if order == 0:
-        return op1.merged(0.0), op2.merged(0.0)
+        return op1.merged(), op2.merged()
     if order != 1:
         raise ValueError("order must be 0 or 1")
     u_op = opalgebra.contraction_op(contraction_matrix(problem, mode))
-    s_op = opalgebra.reflection_op(problem.l, problem.dim)
-    tt = t_op.compose(t_op)
-    corr1 = (r1.compose(tt) - s_op.compose(r1)).compose(u_op).compose(t_op)
-    corr2 = (r2.compose(tt) - r2).compose(u_op).compose(t_op)
-    return (op1 + corr1).merged(0.0), (op2 + corr2).merged(0.0)
+    s_op = opalgebra.reflection_op(l, problem.dim)
+    ut = u_op.compose(t_op)
+    corr1 = (opalgebra.scaling_op(a1, -l) - s_op.compose(r1)).compose(ut)
+    corr2 = (r2.compose(opalgebra.shift_op(a1, 2.0 * l)) - r2).compose(ut)
+    return (op1 + corr1).merged(), (op2 + corr2).merged()
 
 
 def _fields_from_operators(problem, grid, op1, op2):

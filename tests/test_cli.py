@@ -197,6 +197,30 @@ class TestMainExitCodes:
         # far-field truncation guard trips -> numerical failure
         assert main(["verify", "--config", str(path)]) == 3
 
+    def test_prune_tol_is_rejected(self, tmp_path, capsys):
+        raw = make_config(tmp_path, overrides={"solver": {"prune_tol": 0.0}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver: unknown keys")
+        assert "prune_tol" in err
+
+    def test_commensurate_modes_get_a_common_fd_period(self, tmp_path):
+        # omega 1 and 1.5 share the y period 4 pi
+        raw = make_config(tmp_path, overrides={
+            "grid": {"x_range": [0.0, 3.0], "y_range": [0.0, 6.0],
+                     "nx": 9, "ny": 9},
+            "verify": {"fd_oracle": True, "fd_ny": 128}})
+        raw["problem"]["trace"] = {"modes": [{"omega": 1.0, "cos_amp": 1.0},
+                                             {"omega": 1.5, "cos_amp": 0.5}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 0
+        fd = json.loads((tmp_path / "out" / "verify.json").read_text())
+        # dominated by the far boundary u = 0 at fd_x = 8 (e^{-8/2} = 0.018)
+        assert fd["fd_comparison"]["linf"] <= 0.02
+
     @pytest.mark.parametrize("verify, trace, extra, message", [
         ({"fd_oracle": True, "fd_ny": 0}, None, (), "ny >= 2"),
         ({"fd_oracle": True, "fd_ny": 1}, None, (), "ny >= 2"),
@@ -204,7 +228,8 @@ class TestMainExitCodes:
         ({}, None, ("--resolutions", "66"), "interface"),
         ({"fd_oracle": True},
          {"modes": [{"omega": 1.0, "cos_amp": 1.0},
-                    {"omega": 1.5, "cos_amp": 0.5}]}, (), "not periodic"),
+                    {"omega": 2.0 ** 0.5, "cos_amp": 0.5}]}, (),
+         "not periodic"),
         ({"mode_match_oracle": True},
          {"samples": {"y": [-10.0 + 0.5 * k for k in range(41)],
                       "values": [1.0 / (1.0 + (-10.0 + 0.5 * k) ** 2)

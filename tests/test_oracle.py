@@ -17,6 +17,7 @@ from layerfield.errors import (
 from layerfield.oracle import (
     compare,
     fd_solve,
+    fd_y_span,
     mode_match_reference,
     mode_match_truncated,
     mode_match_two_layer,
@@ -237,6 +238,28 @@ class TestFdSolve:
             errs.append(compare(fd, ref).linf)
         assert errs[1] <= 5e-4
         assert 3.5 <= errs[0] / errs[1] <= 5.0
+
+    def test_commensurate_modes_share_one_period(self, benchmark_problem):
+        # omega 1 and 1.5: the y span is 4 pi, the smallest common period
+        trace = BoundaryTrace(dim=1, modes=(
+            TraceMode(1.0, [1.0], [0.0]), TraceMode(1.5, [0.5], [0.3])))
+        prob = TwoLayerProblem(benchmark_problem.a1, benchmark_problem.a2,
+                               1.0, 3.0, 1.0, trace)
+        assert fd_y_span(trace) == pytest.approx(4.0 * np.pi, rel=1e-15)
+        errs = []
+        for nx, ny in ((65, 100), (129, 200)):
+            fd = fd_solve(prob, 8.0, nx, ny)
+            assert fd.y_range[1] + fd.hy == pytest.approx(4.0 * np.pi)
+            ref = two_layer_truncated_reference(prob, fd)
+            errs.append(compare(fd, ref).linf)
+        assert errs[1] <= 2e-4
+        assert 3.5 <= errs[0] / errs[1] <= 5.0
+
+    def test_incommensurate_modes_rejected(self):
+        trace = BoundaryTrace(dim=1, modes=(
+            TraceMode(1.0, [1.0], [0.0]), TraceMode(2.0 ** 0.5, [0.5], [0.0])))
+        with pytest.raises(ValueError, match="not periodic"):
+            fd_y_span(trace)
 
     def test_robin_against_mode_solution(self):
         prob = RobinProblem(eigendecompose(1.0), eigendecompose(-1.0),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -19,7 +21,7 @@ from layerfield.errors import (
     SingularMatrixError,
     SpectrumViolationError,
 )
-from layerfield.oracle import robin_mode_solution
+from layerfield.oracle import mode_match_reference, robin_mode_solution
 from layerfield.spectral import eigendecompose
 from layerfield.transmute import (
     ConventionMode,
@@ -340,6 +342,18 @@ class TestTwoLayerTransform:
         with pytest.warns(SeriesDivergingWarning):
             solve_two_layer(prob, grid, LIT, series_tol=1e-10, j_max=8)
 
+    def test_series_stopped_by_j_max_warns(self, benchmark_problem):
+        with pytest.warns(SeriesDivergingWarning, match="j_max=2"):
+            build_layer_operators(benchmark_problem, CAL, series_tol=1e-10,
+                                  j_max=2)
+
+    def test_order_sweep_without_tolerance_is_silent(self, benchmark_problem):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = build_layer_operators(benchmark_problem, CAL,
+                                           series_tol=0.0, j_max=2)
+        assert series.orders_used == 3
+
     def test_interior_pde_residual_refines(self, benchmark_problem):
         res = []
         for nx in (23, 45):
@@ -404,3 +418,69 @@ class TestLowOrderApproximations:
         e0 = max(np.abs(o0[k].values - full[k].values).max() for k in range(2))
         e1 = max(np.abs(o1[k].values - full[k].values).max() for k in range(2))
         assert e0 > e1 > 0.0
+
+
+class TestSeriesTruncation:
+    def test_vector_series_stops_on_the_error_bound(self):
+        # n = 3, diagonal a1, a2: the weight norm alone would run all 65
+        # orders; the e^{-omega s} decay of the arguments ends it early
+        a1 = eigendecompose(np.diag([1.0, 1.5, 2.0]))
+        a2 = eigendecompose(np.diag([2.0, 3.0, 0.7]))
+        prob = TwoLayerProblem(a1, a2, 1.0, 3.0, 1.0,
+                               cosine_trace(1.0, [1.0, -0.5, 0.8]))
+        series = build_layer_operators(prob, CAL, series_tol=1e-12)
+        assert series.orders_used <= 26
+        assert series.last_term_norm < 1e-12
+        ys = np.linspace(0.0, 2.0 * np.pi, 9)
+        for layer, xs in ((1, np.linspace(0.0, 1.0, 7)),
+                          (2, np.linspace(1.0, 3.0, 7))):
+            got = two_layer_values(prob, layer, xs, ys, CAL,
+                                   series_tol=1e-12)
+            ref = mode_match_reference(prob, xs, ys, layer)
+            assert np.abs(got - ref).max() <= 1e-12
+
+    def test_sampled_trace_keeps_weight_norm_stop(self):
+        # a sampled trace has a constant envelope, so the bound of a term
+        # is its weight norm and the stop order and bound stay as they were
+        ys = np.linspace(-10.0, 10.0, 41)
+        trace = BoundaryTrace(dim=2, samples=(ys, np.stack(
+            [np.exp(-0.5 * ys ** 2), 1.0 / (1.0 + ys ** 2)], axis=1)))
+        prob = TwoLayerProblem(eigendecompose(np.diag([1.0, 2.0])),
+                               eigendecompose(np.diag([3.0, 0.7])),
+                               1.0, 1.0, 1.0, trace)
+        series = build_layer_operators(prob, CAL, series_tol=1e-10)
+        assert series.orders_used == 37
+        assert series.last_term_norm == pytest.approx(5.113563495919272e-11,
+                                                      rel=1e-14)
+        assert (len(series.layer1.terms), len(series.layer2.terms)) \
+            == (148, 74)
+
+    def test_nondiagonal_sampled_solve_matches_eigenbasis(self):
+        # a1, a2 share the non-diagonal eigenbasis Q. A product of two of
+        # a1's projectors is round-off with a layer-1 argument that can be
+        # negative, where the sampled extension is undefined.
+        ys = np.linspace(-10.0, 10.0, 41)
+        g = np.stack([np.exp(-ys ** 2), 0.5 * np.exp(-(ys - 1.0) ** 2)],
+                     axis=1)
+        grid = GridSpec((0.0, 3.0), (-3.0, 3.0), 9, 9)
+
+        def solve(a1, a2, values):
+            prob = TwoLayerProblem(eigendecompose(a1), eigendecompose(a2),
+                                   1.0, 3.0, 1.0,
+                                   BoundaryTrace(dim=2, samples=(ys, values)))
+            # chi has an eigenvalue of about 0.79, so j_max = 64 ends the
+            # series with a bound of about 6e-7
+            with pytest.warns(SeriesDivergingWarning):
+                series = build_layer_operators(prob, CAL)
+            with pytest.warns(SeriesDivergingWarning):
+                f1, f2, _ = solve_two_layer(prob, grid, CAL)
+            o1, o2 = order1_approximation(prob, grid, CAL)
+            return series, [f.values for f in (f1, f2, o1, o2)]
+
+        series, fields = solve(_Q @ np.diag([1.0, 2.0]) @ _QINV,
+                               _Q @ np.diag([3.0, 0.7]) @ _QINV, g @ _Q.T)
+        for t in series.layer1.terms:
+            assert t.arg_shift + min(0.0, t.arg_scale * 1.0) >= 0.0
+        _, eigen_fields = solve(np.diag([1.0, 2.0]), np.diag([3.0, 0.7]), g)
+        for u, e in zip(fields, eigen_fields):
+            assert np.abs(u - e @ _Q.T).max() <= 1e-12
