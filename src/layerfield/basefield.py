@@ -131,8 +131,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("nx and ny must be at least 2")
+        if self.nx < 3 or self.ny < 3:   # the 5-point residual's interior
+            raise ValueError("nx and ny must be at least 3")
         if not (self.x_range[0] < self.x_range[1]
                 and self.y_range[0] < self.y_range[1]):
             raise ValueError("ranges must be increasing intervals")
@@ -231,49 +231,46 @@ def _mode_values(trace: BoundaryTrace, terms, xs, ys,
     return out
 
 
-def _sample_values(trace: BoundaryTrace, xs, ys, dx_order: int) -> np.ndarray:
+def _sample_values(trace: BoundaryTrace, terms, xs, ys,
+                   dx_order: int) -> np.ndarray:
+    """sum_k M_k d^j/dx^j P(alpha_k x + beta_k, y) over the terms
+    (M_k, alpha_k, beta_k), P the Poisson extension of the samples.
+
+    On segment [t_j, t_{j+1}] the datum is c + d t, whose Poisson integral
+    has an elementary antiderivative in s = t - y: it is taken once per
+    sample node and differenced. Only interpolation and support-truncation
+    error remain (bounded by x times the tail mass outside the support).
+    """
     ygrid, vals = trace.samples
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if np.any(xs < 0.0):
-        raise EvalDomainError("sampled traces are undefined for x < 0")
-    n = trace.dim
-    out = np.empty((xs.size, ys.size, n))
-
-    # Piecewise-linear data: on segment [t0, t1] the datum is c + d t, and
-    # (1/pi) int x (c + d t) / (x^2 + (y-t)^2) dt has the closed form used
-    # below with s = t - y. Only interpolation and support-truncation error
-    # remain (bounded by x times the tail mass outside the sample support).
-    t0 = ygrid[:-1]
-    t1 = ygrid[1:]
-    d = (vals[1:] - vals[:-1]) / (t1 - t0)[:, None]       # (S, n)
-    c = vals[:-1] - d * t0[:, None]                        # (S, n)
-
-    at_boundary = xs <= 0.0
-    for i, x in enumerate(xs):
-        if at_boundary[i]:
-            if dx_order == 1:
-                raise EvalDomainError(
-                    "x-derivative of a sampled trace is undefined at x = 0")
-            for k in range(n):
-                out[i, :, k] = np.interp(ys, ygrid, vals[:, k],
-                                         left=0.0, right=0.0)
-            continue
-        s0 = t0[None, :] - ys[:, None]                     # (m, S)
-        s1 = t1[None, :] - ys[:, None]
-        if dx_order == 0:
-            d_atan = np.arctan2(s1, x) - np.arctan2(s0, x)
-            d_log = 0.5 * (np.log(x * x + s1 * s1) - np.log(x * x + s0 * s0))
-            cy = d_atan @ c + (ys[:, None] * d_atan) @ d   # (m, n)
-            out[i] = (cy + x * (d_log @ d)) / np.pi
-        else:
-            r0 = x * x + s0 * s0
-            r1 = x * x + s1 * s1
-            d_atan_dx = s0 / r0 - s1 / r1
-            d_log = 0.5 * (np.log(r1) - np.log(r0))
-            d_log_dx = x / r1 - x / r0
-            cy = d_atan_dx @ c + (ys[:, None] * d_atan_dx) @ d
-            out[i] = (cy + (d_log + x * d_log_dx) @ d) / np.pi
+    out = np.zeros((xs.size, ys.size, trace.dim))
+    d = np.diff(vals, axis=0) / np.diff(ygrid)[:, None]   # (S, n)
+    c = vals[:-1] - d * ygrid[:-1, None]                   # (S, n)
+    s = ygrid[None, :] - ys[:, None]                       # (ny, S+1)
+    s2 = s * s
+    for m, alpha, beta in terms:
+        args = alpha * xs + beta
+        if np.any(args < 0.0):
+            raise EvalDomainError("sampled traces are undefined for x < 0")
+        for i, x in enumerate(args):
+            if x <= 0.0:
+                if dx_order == 1:
+                    raise EvalDomainError(
+                        "x-derivative of a sampled trace is undefined at x = 0")
+                ext = np.stack([np.interp(ys, ygrid, v, left=0.0, right=0.0)
+                                for v in vals.T], axis=1)
+            else:
+                r = x * x + s2
+                d_log = np.diff(0.5 * np.log(r), axis=1)
+                if dx_order == 0:
+                    d_atan = np.diff(np.arctan2(s, x), axis=1)
+                    tail = x * (d_log @ d)
+                else:
+                    d_atan = -np.diff(s / r, axis=1)
+                    tail = (d_log + x * np.diff(x / r, axis=1)) @ d
+                ext = (d_atan @ c + (ys[:, None] * d_atan) @ d + tail) / np.pi
+            out[i] += np.einsum("ij,yj->yi", m, alpha ** dx_order * ext)
     return out
 
 
@@ -285,10 +282,10 @@ def extension_values(trace: BoundaryTrace, xs, ys,
         raise ValueError("dx_order must be 0 or 1")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    out = _mode_values(trace, ((np.eye(trace.dim), 1.0, 0.0),), xs, ys,
-                       dx_order)
+    terms = ((np.eye(trace.dim), 1.0, 0.0),)
+    out = _mode_values(trace, terms, xs, ys, dx_order)
     if trace.samples is not None:
-        out = out + _sample_values(trace, xs, ys, dx_order)
+        out = out + _sample_values(trace, terms, xs, ys, dx_order)
     return out
 
 

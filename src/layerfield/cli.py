@@ -201,8 +201,8 @@ def _parse_grid(obj, where: str = "grid") -> GridSpec:
             raise ValidationError(f"{where}.{key} must be [lo, hi]")
         ranges[key] = (_number(r[0], f"{where}.{key}[0]"),
                        _number(r[1], f"{where}.{key}[1]"))
-    nx = _integer(obj["nx"], f"{where}.nx", minimum=2)
-    ny = _integer(obj["ny"], f"{where}.ny", minimum=2)
+    nx = _integer(obj["nx"], f"{where}.nx")
+    ny = _integer(obj["ny"], f"{where}.ny")
     return _validated(where, GridSpec, ranges["x_range"], ranges["y_range"],
                       nx, ny)
 
@@ -243,6 +243,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("config needs 'problem' and 'grid'")
     problem = _parse_problem(obj["problem"])
     grid = _parse_grid(obj["grid"])
+    if isinstance(problem, TwoLayerProblem):
+        _validated("grid", transmute.split_grid_at_interface, grid, problem.l)
     solver = _parse_section(obj.get("solver"), _SOLVER_DEFAULTS, "solver")
     if solver["mode"] not in ("literal", "calibrated"):
         raise ValidationError("solver.mode must be 'literal' or 'calibrated'")

@@ -190,7 +190,10 @@ def image_series(a1: SpectralMatrix, a2: SpectralMatrix, chi, l: float,
     over its layer ([0, l] or x >= l) and G = ``envelope`` a decreasing
     bound of the base field (None: constant). The series stops at the first
     order whose summed bound is below series_tol (if positive), or at
-    j_max; terms bounded by eps times the order-0 bound are dropped.
+    j_max; terms bounded by eps times the order-0 bound are dropped. Terms
+    of D_{j+1} with a weight norm at most eps times the largest in D_0 are
+    dropped too: they are the round-off products P_i chi P_k (i != k) of a
+    non-diagonal a1, exact zeros in a1's eigenbasis.
     """
     if a1.dim != a2.dim:
         raise DimMismatchError("layer coefficient dims differ")
@@ -222,6 +225,8 @@ def image_series(a1: SpectralMatrix, a2: SpectralMatrix, chi, l: float,
         return norms * (envelope(s_min) / scale)
 
     d_op = u_op.compose(t_op)                        # D_0
+    d_floor = np.finfo(float).eps * max(np.linalg.norm(t.weight)
+                                        for t in d_op.terms)
     first1, first2 = scaling_op(a1, 0.0), r2.compose(t_op)
     terms1: list[OperatorTerm] = []
     terms2: list[OperatorTerm] = []
@@ -236,7 +241,11 @@ def image_series(a1: SpectralMatrix, a2: SpectralMatrix, chi, l: float,
         if (series_tol > 0.0 and last_bound < series_tol) or j == j_max:
             break
         first1, first2 = r1t2.compose(d_op), r2t2.compose(d_op)
-        d_op = ut2.compose(d_op).merged()            # D_{j+1}
+        d_next = ut2.compose(d_op).merged().terms    # D_{j+1}
+        norms = np.linalg.norm(np.reshape([t.weight for t in d_next],
+                                          (len(d_next), n * n)), axis=1)
+        d_op = TermSumOperator(n, [t for t, w in zip(d_next, norms)
+                                   if w > d_floor])
 
     return ImageSeries(TermSumOperator(n, terms1).merged(),
                        TermSumOperator(n, terms2).merged(), j + 1,

@@ -33,7 +33,6 @@ from .basefield import (
     _mode_values,
     _sample_values,
     boundary_values,
-    extension_values,
     laplace_residual_linf,
 )
 from .errors import (
@@ -51,6 +50,7 @@ from .spectral import (
     apply_scalar_fn,
     commutator_norm,
     eigendecompose,
+    matrix_exp,
     spectrum_in_halfplane,
 )
 
@@ -160,14 +160,17 @@ def contraction_matrix(problem: TwoLayerProblem,
 # Robin transform
 
 
-def _gauss_nodes(lo: float, hi: float, panels: int, order: int = 8):
+def _graded_nodes(eps_hi: float, pieces: int, depth: int, order: int = 8):
+    """Gauss-Legendre rule on [0, eps_hi] graded toward 0: the panels
+    [E 2^{-k-1}, E 2^{-k}] for k < depth and [0, E 2^{-depth}], each cut
+    into ``pieces`` equal parts."""
     base_x, base_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (half[:, None] * base_x[None, :] + mid[:, None]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
+    coarse = eps_hi * np.append(0.0, 2.0 ** np.arange(-depth, 1))
+    edges = np.interp(np.arange((depth + 1) * pieces + 1) / pieces,
+                      np.arange(depth + 2), coarse)
+    half = 0.5 * np.diff(edges)
+    nodes = ((edges[:-1] + half)[:, None] + half[:, None] * base_x).ravel()
+    return nodes, (half[:, None] * base_w).ravel()
 
 
 def _robin_kernel(ah: SpectralMatrix, omega: float,
@@ -212,24 +215,28 @@ def robin_values(problem: RobinProblem, xs, ys, mode: ConventionMode,
                               dx_order)
 
     if trace.samples is not None:
-        sample_trace = BoundaryTrace(dim=n, samples=trace.samples)
-        panels = 8
+        # sum_i P_i int_0^E B(eps) g(x / lambda_i + eps), B = e^{ah eps} a,
+        # g the Poisson extension. d_x g is log-singular at a sample kink as
+        # eps -> 0, so u_x is taken by parts (B' = ah B, P_i / lambda_i =
+        # P_i a^{-1}, a^{-1} ah = h, a^{-1} B(E) = e^{ah E} as a h = h a).
+        # At a kink g(eps) - g(0) ~ eps log eps, which a Gauss panel of width
+        # w integrates to O(w^2): the panels are graded to sqrt(quad_tol).
+        depth = max(0, int(np.ceil(np.log2(eps_hi / np.sqrt(quad_tol)))))
+        sample_trace = BoundaryTrace(n, samples=trace.samples)
+        rate, ends = np.eye(n), []
+        if dx_order == 1:
+            rate = -problem.h.entries
+            ends = [opalgebra.term(matrix_exp(ah, eps_hi), 1.0, eps_hi),
+                    opalgebra.term(-np.eye(n), 1.0, 0.0)]
         prev = None
-        while True:
-            nodes, wts = _gauss_nodes(0.0, eps_hi, panels)
-            exps = np.exp(np.outer(nodes, ah.eigenvalues))
-            bq = np.einsum("ik,qk,kj->qij", ah.eigvecs, exps, ah.eigvecs_inv)
-            bq = bq @ a.entries                       # e^{ah eps_q} a
-            cur = np.zeros_like(out)
-            for i, lam in enumerate(a.eigenvalues):
-                args = (xs[:, None] / lam + nodes[None, :]).ravel()
-                ext = extension_values(sample_trace, args, ys,
-                                       dx_order=dx_order)
-                ext = ext.reshape(xs.size, nodes.size, ys.size, n)
-                if dx_order == 1:
-                    ext = ext / lam
-                contrib = np.einsum("q,qkj,xqyj->xyk", wts, bq, ext)
-                cur += np.einsum("kj,xyj->xyk", a.projector(i), contrib)
+        for level in range(9):
+            nodes, wts = _graded_nodes(eps_hi, 2 ** level, depth)
+            inner = ends + [
+                opalgebra.term(w * rate @ matrix_exp(ah, e) @ a.entries, 1.0, e)
+                for e, w in zip(nodes, wts)]
+            op = opalgebra.scaling_op(a, 0.0).compose(
+                opalgebra.TermSumOperator(n, inner))
+            cur = apply_operator(op, sample_trace, xs, ys)
             if prev is not None:
                 delta = float(np.abs(cur - prev).max())
                 if delta <= quad_tol * max(1.0, float(np.abs(cur).max())):
@@ -237,11 +244,9 @@ def robin_values(problem: RobinProblem, xs, ys, mode: ConventionMode,
                     quad_err = max(quad_err, delta)
                     break
             prev = cur
-            panels *= 2
-            if panels > 8 * 2 ** 8:
-                raise QuadratureFailureError(
-                    "boundary-layer quadrature for sampled trace "
-                    "did not converge")
+        else:
+            raise QuadratureFailureError(
+                "boundary-layer quadrature for sampled trace did not converge")
 
     if mode is ConventionMode.CALIBRATED:
         out = -out
@@ -289,9 +294,11 @@ def split_grid_at_interface(grid: GridSpec, l: float) -> tuple[GridSpec, GridSpe
     x0, x1 = grid.x_range
     if not x0 < l < x1:
         raise ValueError(f"interface l={l} must lie inside x_range {grid.x_range}")
+    if grid.nx < 5:
+        raise ValueError("a two-layer grid needs nx >= 5 (3 nodes per layer)")
     frac = (l - x0) / (x1 - x0)
     n1 = int(round((grid.nx - 1) * frac)) + 1
-    n1 = min(max(n1, 2), grid.nx - 1)
+    n1 = min(max(n1, 3), grid.nx - 2)
     n2 = grid.nx - n1 + 1
     return (GridSpec((x0, l), grid.y_range, n1, grid.ny),
             GridSpec((l, x1), grid.y_range, n2, grid.ny))
@@ -302,8 +309,7 @@ def apply_operator(op: opalgebra.TermSumOperator, trace: BoundaryTrace,
     """Evaluate an operator applied to the base field on an x-y node set.
 
     dx_order=1 gives the x-derivative (chain rule through each term's
-    argument map). Shape (len(xs), len(ys), n). Modes are summed over all
-    terms in one separable pass; a sampled part is evaluated term by term.
+    argument map). Shape (len(xs), len(ys), n).
     """
     if dx_order not in (0, 1):
         raise ValueError("dx_order must be 0 or 1")
@@ -311,11 +317,7 @@ def apply_operator(op: opalgebra.TermSumOperator, trace: BoundaryTrace,
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     out = _mode_values(trace, op.terms, xs, ys, dx_order)
     if trace.samples is not None:
-        for m, alpha, beta in op.terms:
-            ext = _sample_values(trace, alpha * xs + beta, ys, dx_order)
-            if dx_order == 1:
-                ext = alpha * ext
-            out += np.einsum("ij,xyj->xyi", m, ext)
+        out = out + _sample_values(trace, op.terms, xs, ys, dx_order)
     return out
 
 

@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+
 import pytest
 
 from layerfield.cli import (
@@ -11,6 +13,9 @@ from layerfield.cli import (
 )
 from layerfield.errors import ParseError, ValidationError
 from layerfield.transmute import TwoLayerProblem
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 MINIMAL_TWO_LAYER = {
     "problem": {
@@ -263,6 +268,34 @@ class TestMainExitCodes:
         assert main([verb, "--config", str(path), *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("name, section, key, value, message", [
+        ("two_layer_benchmark", "grid", "nx", 3, "nx >= 5"),
+        ("two_layer_benchmark", "grid", "nx", 4, "nx >= 5"),
+        ("two_layer_benchmark", "grid", "ny", 2, "at least 3"),
+        ("two_layer_benchmark", "problem", "l", 5.0, "inside x_range"),
+        ("two_layer_benchmark", "grid", "x_range", [1.5, 3.0],
+         "inside x_range"),
+        ("robin_scalar", "grid", "nx", 2, "at least 3"),
+    ], ids=["nx_3", "nx_4", "ny_2", "l_beyond_x_range",
+            "x_range_beyond_l", "robin_nx_2"])
+    def test_unusable_grid_is_validation_failure(
+            self, tmp_path, capsys, name, section, key, value, message):
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid: ") and message in err
+
+    @pytest.mark.parametrize("verb", ["solve", "verify"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_runs(self, tmp_path, verb, config):
+        assert main([verb, "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.json").exists()
 
     def test_robin_fd_grid_too_short_is_validation_failure(self, tmp_path,
                                                            capsys):

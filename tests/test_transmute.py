@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
+from scipy.integrate import quad, quad_vec
 from scipy.linalg import expm
 
 from conftest import benchmark_layer1_closed_form, benchmark_layer2_closed_form
@@ -10,9 +10,11 @@ from layerfield.basefield import (
     BoundaryTrace,
     GridSpec,
     TraceMode,
+    boundary_values,
     cosine_trace,
     extension_values,
     laplace_residual_linf,
+    sampled_trace,
 )
 from layerfield.errors import (
     NonCommutingError,
@@ -51,6 +53,11 @@ _Q = np.array([[1.0, 0.4], [-0.3, 1.0]])
 _QINV = np.linalg.inv(_Q)
 NONDIAG_A = _Q @ np.diag([1.0, 2.0]) @ _QINV
 NONDIAG_H = _Q @ np.diag([-1.0, -3.0]) @ _QINV
+
+# A unit Gaussian sampled every 0.1 on [-20, 20]: the grid y nodes at
+# multiples of 0.1 sit on kinks of its piecewise-linear interpolant.
+_GAUSS_Y = np.linspace(-20.0, 20.0, 401)
+GAUSSIAN_401 = sampled_trace(_GAUSS_Y, np.exp(-0.5 * _GAUSS_Y ** 2))
 
 
 class TestReflectionCoefficient:
@@ -226,6 +233,57 @@ class TestRobinTransform:
                              quad_tol=1e-8)
         vm, _ = robin_values(RobinProblem(a, h, tr_m), xs, ys, LIT)
         assert vs[0, 0, 0] == pytest.approx(vm[0, 0, 0], abs=5e-5)
+
+    def test_sampled_trace_on_kinks(self):
+        # 17 x 17 on [0, 3] x [-5, 5]: u_x(0, y) of the extension is
+        # log-singular at the kink nodes y = -5, -2.5, 0, 2.5, 5
+        prob = RobinProblem(eigendecompose(1.0), eigendecompose(-1.0),
+                            GAUSSIAN_401)
+        grid = GridSpec((0.0, 3.0), (-5.0, 5.0), 17, 17)
+        field, rep = solve_robin(prob, grid, LIT)
+        assert rep.boundary_residual_linf <= 1e-9
+        assert rep.quadrature_error <= 1e-9
+        # u = int_0^E e^{-eps} g(x + eps, y) d eps with E = -ln(quad_tol)
+        eps_hi = -np.log(1e-9)
+        for i, j in ((0, 8), (1, 0), (1, 4), (8, 8), (16, 12)):
+            x, y = field.x_nodes[i], field.y_nodes[j]
+            ref, _ = quad(lambda e: np.exp(-e) * extension_values(
+                              GAUSSIAN_401, [x + e], [y])[0, 0, 0],
+                          0.0, eps_hi, epsabs=1e-12, limit=200)
+            assert abs(field.values[i, j, 0] - ref) <= 1e-8
+        for x, y in ((0.2, 0.0), (1.5, -2.5)):
+            ref, _ = quad(lambda e: np.exp(-e) * extension_values(
+                              GAUSSIAN_401, [x + e], [y], dx_order=1)[0, 0, 0],
+                          0.0, eps_hi, epsabs=1e-12, limit=200)
+            du, _ = robin_values(prob, [x], [y], LIT, dx_order=1)
+            assert abs(du[0, 0, 0] - ref) <= 1e-8
+
+    def test_nondiagonal_pair_with_sampled_trace(self):
+        # commuting a, h decouple in the eigenbasis Q of a: u = Q u~ with
+        # u~_k the scalar solution for (lambda_k, mu_k) and trace (Q^{-1} f)_k
+        ysamp = np.linspace(-8.0, 8.0, 81)
+        f = np.stack([np.exp(-ysamp ** 2), 1.0 / (1.0 + ysamp ** 2)], axis=1)
+        prob = RobinProblem(eigendecompose(NONDIAG_A),
+                            eigendecompose(NONDIAG_H), sampled_trace(ysamp, f))
+        xs = np.array([0.0, 0.3, 1.2])
+        ys = np.array([-1.0, 0.0, 0.35, 2.0])
+        got = {}
+        for dx_order in (0, 1):
+            got[dx_order], err = robin_values(prob, xs, ys, CAL,
+                                              dx_order=dx_order)
+            assert err <= 1e-9
+            parts = [robin_values(
+                         RobinProblem(eigendecompose(lam), eigendecompose(mu),
+                                      sampled_trace(ysamp, g)),
+                         xs, ys, CAL, dx_order=dx_order)[0][..., 0]
+                     for lam, mu, g in zip((1.0, 2.0), (-1.0, -3.0),
+                                           (f @ _QINV.T).T)]
+            ref = np.stack(parts, axis=-1) @ _Q.T
+            assert np.abs(got[dx_order] - ref).max() <= 1e-8
+        # h u + u_x = f at x = 0 (calibrated)
+        resid = (got[0][0] @ NONDIAG_H.T + got[1][0]
+                 - boundary_values(prob.trace, ys))
+        assert np.abs(resid).max() <= 1e-9
 
 
 class TestApplyOperator:
