@@ -41,7 +41,7 @@ from .oracle import (
     residual_report,
     robin_mode_solution,
 )
-from .report import SolveReport
+from .report import ResidualReport, SolveReport
 from .spectral import (
     SpectralMatrix,
     apply_scalar_fn,

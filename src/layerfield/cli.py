@@ -396,6 +396,21 @@ def _oracle(call, *args, **kwargs):
         raise ValidationError(f"oracle: {exc}") from exc
 
 
+def _check_verify(cfg: RunConfig):
+    """Reject enabled checks that cannot apply to a Robin problem, before
+    the solve runs."""
+    if not isinstance(cfg.problem, RobinProblem):
+        return
+    v = cfg.verify
+    if v["mode_match_oracle"]:
+        raise ValidationError(
+            "mode_match_oracle applies to two-layer problems")
+    if v["residual_report"] and abs(cfg.grid.x_range[0]) > 1e-12:
+        raise ValidationError(
+            "verify.residual_report: Robin residuals need a grid starting "
+            f"at x=0, got x_range {list(cfg.grid.x_range)}")
+
+
 def _verify_payload(cfg: RunConfig, fields: dict) -> dict:
     p = cfg.problem
     v = cfg.verify
@@ -406,9 +421,6 @@ def _verify_payload(cfg: RunConfig, fields: dict) -> dict:
         payload["residual_report"] = oracle.residual_report(
             arg, p, cfg.mode).as_dict()
     if v["mode_match_oracle"]:
-        if isinstance(p, RobinProblem):
-            raise ValidationError(
-                "mode_match_oracle applies to two-layer problems")
         metrics = {}
         for layer, key in ((1, "layer1"), (2, "layer2")):
             fld = fields[key]
@@ -451,6 +463,7 @@ def _solution_on_nodes(cfg: RunConfig, xs, ys) -> np.ndarray:
 
 def run_verify(cfg: RunConfig) -> int:
     """Solve plus enabled oracle checks; writes verify.json as well."""
+    _check_verify(cfg)
     t0 = time.perf_counter()
     fields, report = _solve(cfg)
     payload = _verify_payload(cfg, fields)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from layerfield import cli
 from layerfield.cli import (
     main,
     parse_config,
@@ -295,7 +296,43 @@ class TestMainExitCodes:
     def test_shipped_config_runs(self, tmp_path, verb, config):
         assert main([verb, "--config", str(config),
                      "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "report.json").exists()
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {"pde_residual_linf", "boundary_residual_linf",
+                               "interface_value_gap", "interface_flux_gap",
+                               "series_terms_used", "truncation_proxy",
+                               "quadrature_error", "config"}
+        if verb == "verify":
+            # only what the residual report measured on these grids, all
+            # starting at x = 0: no interface for Robin, no series
+            # diagnostics, no quadrature error
+            payload = json.loads((tmp_path / "verify.json").read_text())
+            measured = {"pde_residual_linf", "boundary_residual_linf"}
+            if report["config"]["problem"]["kind"] == "two_layer":
+                measured |= {"interface_value_gap", "interface_flux_gap"}
+            assert set(payload["residual_report"]) == measured
+
+    @pytest.mark.parametrize("verb", [["verify"], ["solve", "--verify"]],
+                             ids=["verify", "solve_verify"])
+    @pytest.mark.parametrize("verify, message", [
+        ({}, "Robin residuals need a grid starting at x=0"),
+        ({"residual_report": False, "mode_match_oracle": True},
+         "mode_match_oracle applies to two-layer problems"),
+    ], ids=["residual_report", "mode_match_oracle"])
+    def test_robin_verify_that_cannot_apply_is_validation_failure(
+            self, tmp_path, capsys, monkeypatch, verb, verify, message):
+        raw = json.loads((CONFIG_DIR / "robin_scalar.json").read_text())
+        raw["grid"]["x_range"] = [0.5, 4.0]
+        raw["verify"] = verify
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = ["--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(["solve", *out]) == 0
+        monkeypatch.setattr(cli, "_solve",
+                            lambda cfg: pytest.fail("solved before the check"))
+        capsys.readouterr()
+        assert main([*verb, *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_robin_fd_grid_too_short_is_validation_failure(self, tmp_path,
                                                            capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from layerfield.basefield import (
     BoundaryTrace,
@@ -107,6 +109,70 @@ def _fd_row_cases():
             TwoLayerProblem(a1, a2, 2.0, 0.5, 15.0, tr2), 16.0, 33, 12),
         "robin_n2": (robin, 16.0, 41, 10),
         "robin_n2_ny_2": (robin, 16.0, 41, 2),
+    }
+
+
+def direct_fd_solve(problem, truncation_x, nx, ny):
+    """The fd system of fd_solve assembled in real space,
+    kron(Dx, I_y) + kron(diag(lap), ring_y) per eigencomponent, and solved
+    directly by SuperLU; values (nx, ny, n) in the physical basis."""
+    two_layer = isinstance(problem, TwoLayerProblem)
+    mats = [problem.a1, problem.a2] if two_layer else [problem.a, problem.h]
+    q, qinv, (d1, d2) = shared_eigensystem(mats)
+    hx = truncation_x / (nx - 1)
+    hy = fd_y_span(problem.trace) / ny
+    xs = np.linspace(0.0, truncation_x, nx)
+    f = boundary_values(problem.trace, np.arange(ny) * hy) @ qinv.T
+    il = int(round(problem.l / hx)) if two_layer else None
+    eye = np.eye(ny)
+    # at ny = 2 both rolls hit the same node and their entries add up
+    ring_y = (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+              - 2.0 * eye) / hy ** 2
+    u = np.empty((nx, ny, f.shape[1]))
+    for k in range(f.shape[1]):
+        alpha = (np.where(xs <= problem.l, d1[k], d2[k]) if two_layer
+                 else np.full(nx, d1[k]))
+        dx = np.zeros((nx, nx))
+        lap = np.zeros(nx)
+        for i in range(1, nx - 1):
+            if i != il:
+                c = alpha[i] ** 2 / hx ** 2
+                dx[i, i - 1:i + 2] = [c, -2.0 * c, c]
+                lap[i] = 1.0
+        dx[nx - 1, nx - 1] = 1.0
+        if two_layer:
+            dx[0, 0] = 1.0
+            c1 = problem.lambda1 / (2.0 * hx)
+            c2 = problem.lambda2 / (2.0 * hx)
+            dx[il, il - 2:il + 3] = [c1, -4.0 * c1, 3.0 * (c1 + c2),
+                                     -4.0 * c2, c2]
+        else:
+            dx[0, :3] = [d2[k] - 1.5 / hx, 2.0 / hx, -0.5 / hx]
+        mat = (sp.kron(sp.csr_matrix(dx), sp.identity(ny))
+               + sp.kron(sp.diags(lap), sp.csr_matrix(ring_y))).tocsc()
+        b = np.zeros(nx * ny)
+        b[:ny] = f[:, k]
+        u[:, :, k] = spsolve(mat, b).reshape(nx, ny)
+    return u @ q.T
+
+
+def _direct_solve_cases():
+    cases = _fd_row_cases()
+    two_layer, _, _, _ = cases["interface_node_2_ny_2"]
+    robin, _, _, _ = cases["robin_n2"]
+    amp = np.array([0.8, -1.3, 0.6]), np.array([0.4, 0.9, -1.1])
+    vector = TwoLayerProblem(eigendecompose(np.diag([1.0, 1.5, 2.0])),
+                             eigendecompose(np.diag([2.0, 3.0, 0.7])),
+                             1.0, 3.0, 1.0,
+                             BoundaryTrace(dim=3, modes=(
+                                 TraceMode(1.0, *amp),)))
+    return {
+        "two_layer_ny_odd": (two_layer, 16.0, 33, 13),
+        "two_layer_ny_2": (two_layer, 16.0, 33, 2),
+        "robin_nondiagonal_ny_odd": (robin, 16.0, 41, 11),
+        "robin_nondiagonal_ny_even": (robin, 16.0, 41, 10),
+        "robin_nondiagonal_ny_2": (robin, 16.0, 41, 2),
+        "vector_transforms_n3": (vector, 12.0, 97, 64),
     }
 
 
@@ -304,6 +370,14 @@ class TestFdSolve:
         for name, rel in residuals.items():
             assert rel <= 1e-10, (name, rel)
 
+    @pytest.mark.parametrize("case", sorted(_direct_solve_cases()))
+    def test_matches_direct_real_space_solve(self, case):
+        problem, truncation_x, nx, ny = _direct_solve_cases()[case]
+        fd = fd_solve(problem, truncation_x, nx, ny)
+        ref = direct_fd_solve(problem, truncation_x, nx, ny)
+        assert fd.values.shape == ref.shape == (nx, ny, problem.dim)
+        assert np.abs(fd.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("nx, ny", [(17, 1), (17, 0), (2, 8)])
     def test_degenerate_grid_rejected_up_front(self, scalar_robin_problem,
                                                nx, ny):
@@ -395,6 +469,20 @@ class TestResidualReport:
                 assert rep.interface_flux_gap <= 5e-3   # one-sided stencil error
             else:
                 assert rep.interface_flux_gap > 0.1
+
+    def test_two_layer_grid_off_x_0_has_no_dirichlet_residual(
+            self, benchmark_problem):
+        ys = np.linspace(-2, 2, 9)
+        fields = [FieldGrid((x0, x1), (-2, 2),
+                            mode_match_reference(benchmark_problem,
+                                                 np.linspace(x0, x1, 9),
+                                                 ys, layer), 1.0)
+                  for layer, (x0, x1) in ((1, (0.5, 1.0)), (2, (1.0, 3.0)))]
+        rep = residual_report(tuple(fields), benchmark_problem)
+        assert rep.boundary_residual_linf is None
+        assert set(rep.as_dict()) == {"pde_residual_linf",
+                                      "interface_value_gap",
+                                      "interface_flux_gap"}
 
     def test_robin_report(self, scalar_robin_problem):
         from layerfield.transmute import solve_robin
