@@ -36,7 +36,6 @@ from .oracle import (
     compare,
     fd_solve,
     mode_match_reference,
-    mode_match_truncated,
     mode_match_two_layer,
     residual_report,
     robin_mode_solution,

@@ -41,7 +41,6 @@ _VERIFY_DEFAULTS = {
     "fd_x": 8.0,
     "fd_nx": 65,
     "fd_ny": 64,
-    "far_tol": 0.05,
 }
 
 
@@ -254,9 +253,8 @@ def parse_config(text: str) -> RunConfig:
     if solver["eps_max"] <= 0:
         raise ValidationError("solver.eps_max must be positive")
     verify = _parse_section(obj.get("verify"), _VERIFY_DEFAULTS, "verify")
-    for key in ("fd_x", "far_tol"):
-        if verify[key] <= 0:
-            raise ValidationError(f"verify.{key} must be positive")
+    if verify["fd_x"] <= 0:
+        raise ValidationError("verify.fd_x must be positive")
     out_obj = obj.get("output") or {}
     if not isinstance(out_obj, dict):
         raise ValidationError("output must be an object")
@@ -431,9 +429,11 @@ def _verify_payload(cfg: RunConfig, fields: dict) -> dict:
             metrics[key] = {"linf": m.linf, "l2": m.l2}
         payload["mode_match_comparison"] = metrics
     if v["fd_oracle"]:
-        fd = _oracle(oracle.fd_solve, p, v["fd_x"], v["fd_nx"], v["fd_ny"],
-                     far_tol=v["far_tol"])
-        series_on_fd = _solution_on_nodes(cfg, fd.x_nodes, fd.y_nodes)
+        fd = _oracle(oracle.fd_solve, p, v["fd_x"], v["fd_nx"], v["fd_ny"])
+        # The fd solves h u + u_x = +f; a literal Robin field obeys -f.
+        sign = (-1.0 if isinstance(p, RobinProblem)
+                and cfg.mode is ConventionMode.LITERAL else 1.0)
+        series_on_fd = sign * _solution_on_nodes(cfg, fd.x_nodes, fd.y_nodes)
         m = oracle.compare(fd, FieldGrid(fd.x_range, fd.y_range, series_on_fd,
                                          fd.layer_boundary))
         payload["fd_comparison"] = {"linf": m.linf, "l2": m.l2,
@@ -490,18 +490,14 @@ def run_convergence(cfg: RunConfig, resolutions) -> int:
     v = cfg.verify
     rows = []
 
-    truncation_x = v["fd_x"]
-    if p.trace.min_positive_omega is None:
-        raise ValidationError("convergence study needs a decaying mode trace")
+    x_max = v["fd_x"]
     y_span = _oracle(oracle.fd_y_span, p.trace)
     prev_err = None
     for nx in resolutions:
-        ny = max(8, int(round((nx - 1) * y_span / truncation_x)))
-        fd = _oracle(oracle.fd_solve, p, truncation_x, nx, ny,
-                     far_tol=v["far_tol"])
-        ref = _truncated_reference(p, fd)
-        err = oracle.compare(fd, ref).linf
-        h = truncation_x / (nx - 1)
+        ny = max(8, int(round((nx - 1) * y_span / x_max)))
+        fd = _oracle(oracle.fd_solve, p, x_max, nx, ny)
+        err = oracle.compare(fd, _mode_reference(p, fd)).linf
+        h = x_max / (nx - 1)
         ratio = prev_err / err if prev_err is not None else float("nan")
         rows.append(("fd", nx, h, err, ratio))
         prev_err = err
@@ -531,26 +527,23 @@ def run_convergence(cfg: RunConfig, resolutions) -> int:
     return 0
 
 
-def _truncated_reference(problem, fd: FieldGrid) -> FieldGrid:
-    """Exact solution of the truncated-domain problem on the fd grid."""
+def _mode_reference(problem, fd: FieldGrid) -> FieldGrid:
+    """Exact half-plane mode solution on the fd grid."""
     xs, ys = fd.x_nodes, fd.y_nodes
-    truncation_x = fd.x_range[1]
+    vals = np.zeros_like(fd.values)
     if isinstance(problem, TwoLayerProblem):
-        vals = np.zeros_like(fd.values)
         mask1 = xs <= problem.l
         for layer, mask in ((1, mask1), (2, ~mask1)):
             if np.any(mask):
                 vals[mask] = _oracle(oracle.mode_match_reference, problem,
-                                     xs[mask], ys, layer,
-                                     truncation_x=truncation_x)
+                                     xs[mask], ys, layer)
     else:
-        vals = np.zeros_like(fd.values)
         for m in problem.trace.modes:
             for amp, trig in ((m.cos_amp, "cos"), (m.sin_amp, "sin")):
                 if not np.any(amp != 0.0):
                     continue
                 sol = _oracle(oracle.robin_mode_solution, problem, m.omega,
-                              amp, trig, truncation_x=truncation_x)
+                              amp, trig)
                 vals += sol.values(xs, ys)
     return FieldGrid(fd.x_range, fd.y_range, vals, fd.layer_boundary)
 

@@ -53,10 +53,6 @@ class QuadratureFailureError(LayerFieldError):
     """Adaptive quadrature did not reach tolerance within budget."""
 
 
-class TruncationTooSmallError(LayerFieldError):
-    """Far-field truncation leaves too much mass at the boundary."""
-
-
 class GridMismatchError(LayerFieldError):
     """Field grids do not cover identical nodes."""
 

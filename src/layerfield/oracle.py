@@ -22,7 +22,6 @@ from .errors import (
     GridMismatchError,
     SharedBasisRequiredError,
     SingularSystemError,
-    TruncationTooSmallError,
 )
 from .report import ResidualReport
 from .spectral import SpectralMatrix, eigendecompose
@@ -68,32 +67,32 @@ def shared_eigensystem(mats: list[SpectralMatrix]):
 # Mode matching
 
 
-def _exp_pair_values(omega, trig, basis, alpha, e_minus, e_plus, xs, ys,
-                     dx_order: int) -> np.ndarray:
-    """Field sum_i basis[:, i] (e_minus_i e^{-k_i x} + e_plus_i e^{k_i x})
+def _exp_values(omega, trig, basis, alpha, terms, xs, ys,
+                dx_order: int) -> np.ndarray:
+    """Field sum_i basis[:, i] sum_(amp, sign, x0) amp_i e^{sign k_i (x - x0)}
     trig(omega y) with k = omega / alpha, on the (xs, ys) nodes, shape
-    (nx, ny, n); dx_order=1 gives its x-derivative."""
+    (nx, ny, n); dx_order=1 gives its x-derivative. Each growing term
+    (sign +1) is written against the far end x0 of its layer, so no
+    exponential exceeds 1 on that layer."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float)
     k = omega / alpha
-    em = np.exp(-np.outer(xs, k))
-    ep = np.exp(np.outer(xs, k))
-    if dx_order == 1:
-        em = -k[None, :] * em
-        ep = k[None, :] * ep
-    coef = em * e_minus[None, :] + ep * e_plus[None, :]
+    coef = np.zeros((xs.size, k.size))
+    for amp, sign, x0 in terms:
+        term = np.exp(sign * np.outer(xs - x0, k)) * amp[None, :]
+        coef += sign * k[None, :] * term if dx_order == 1 else term
     wave = np.cos(omega * ys) if trig == "cos" else np.sin(omega * ys)
     return (coef @ basis.T)[:, None, :] * wave[None, :, None]
 
 
 @dataclass(frozen=True)
 class ModeMatchSolution:
-    """Exact per-frequency two-layer solution.
+    """Exact per-frequency two-layer solution on the half-plane.
 
-    e1, e2 are the decaying/growing layer-1 amplitudes and e3 the decaying
-    layer-2 amplitude in the shared eigenbasis (physical amplitudes are
-    basis @ e*). A nonzero growing layer-2 amplitude e4 appears only for
-    the truncated-domain variant (zero far boundary at x = truncation_x).
+    In the shared eigenbasis (physical amplitudes are basis @ e*), layer 1
+    is e1 e^{-k1 x} + e2 e^{k1 (x - l)} and layer 2 is e3 e^{-k2 (x - l)},
+    with k = omega / alpha. Every exponential is at most 1 on its layer,
+    so no omega overflows them.
     """
 
     omega: float
@@ -101,23 +100,24 @@ class ModeMatchSolution:
     basis: np.ndarray
     alpha1: np.ndarray
     alpha2: np.ndarray
+    l: float
     e1: np.ndarray
     e2: np.ndarray
     e3: np.ndarray
-    e4: np.ndarray
-    truncation_x: float | None = None
 
     def layer1_values(self, xs, ys, dx_order: int = 0) -> np.ndarray:
-        return _exp_pair_values(self.omega, self.trig, self.basis, self.alpha1,
-                                self.e1, self.e2, xs, ys, dx_order)
+        return _exp_values(self.omega, self.trig, self.basis, self.alpha1,
+                           ((self.e1, -1.0, 0.0), (self.e2, 1.0, self.l)),
+                           xs, ys, dx_order)
 
     def layer2_values(self, xs, ys, dx_order: int = 0) -> np.ndarray:
-        return _exp_pair_values(self.omega, self.trig, self.basis, self.alpha2,
-                                self.e3, self.e4, xs, ys, dx_order)
+        return _exp_values(self.omega, self.trig, self.basis, self.alpha2,
+                           ((self.e3, -1.0, self.l),), xs, ys, dx_order)
 
 
-def _mode_match(problem: TwoLayerProblem, omega: float, amp, trig: str,
-                truncation_x: float | None) -> ModeMatchSolution:
+def mode_match_two_layer(problem: TwoLayerProblem, omega: float, amp,
+                         trig: str = "cos") -> ModeMatchSolution:
+    """Half-plane two-layer solution for one trigonometric mode."""
     if omega <= 0.0:
         raise ValueError("mode matching requires omega > 0")
     if trig not in ("cos", "sin"):
@@ -126,63 +126,30 @@ def _mode_match(problem: TwoLayerProblem, omega: float, amp, trig: str,
     q, qinv, (d1, d2) = shared_eigensystem([problem.a1, problem.a2])
     v = qinv @ amp
     lam1, lam2, l = problem.lambda1, problem.lambda2, problem.l
-    n = amp.size
-    e = np.zeros((4, n))
-    for i in range(n):
-        a1i, a2i = d1[i], d2[i]
-        e1m = np.exp(-omega * l / a1i)
-        e1p = np.exp(omega * l / a1i)
-        e2m = np.exp(-omega * l / a2i)
-        e2p = np.exp(omega * l / a2i)
-        if truncation_x is None:
-            mat = np.array([
-                [1.0, 1.0, 0.0],
-                [e1m, e1p, -e2m],
-                [-lam1 / a1i * e1m, lam1 / a1i * e1p, lam2 / a2i * e2m],
-            ])
-            rhs = np.array([v[i], 0.0, 0.0])
-        else:
-            exm = np.exp(-omega * truncation_x / a2i)
-            exp_ = np.exp(omega * truncation_x / a2i)
-            mat = np.array([
-                [1.0, 1.0, 0.0, 0.0],
-                [e1m, e1p, -e2m, -e2p],
-                [-lam1 / a1i * e1m, lam1 / a1i * e1p,
-                 lam2 / a2i * e2m, -lam2 / a2i * e2p],
-                [0.0, 0.0, exm, exp_],
-            ])
-            rhs = np.array([v[i], 0.0, 0.0, 0.0])
+    e = np.zeros((3, amp.size))
+    for i in range(amp.size):
+        # Dirichlet data at x = 0, then value and flux continuity at x = l
+        e1m = np.exp(-omega * l / d1[i])
+        c1, c2 = lam1 / d1[i], lam2 / d2[i]
+        mat = np.array([[1.0, e1m, 0.0],
+                        [e1m, 1.0, -1.0],
+                        [-c1 * e1m, c1, c2]])
+        rhs = np.array([v[i], 0.0, 0.0])
         try:
             sol = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"mode-match system singular: {exc}") from exc
         resid = np.abs(mat @ sol - rhs).max()
-        if resid > 1e-12 * max(1.0, np.abs(rhs).max(), np.abs(sol).max()):
+        if not resid <= 1e-12 * max(1.0, np.abs(rhs).max(), np.abs(sol).max()):
             raise SingularSystemError(
                 f"mode-match residual {resid:.3g} too large")
-        e[:sol.size, i] = sol
-    return ModeMatchSolution(
-        omega=omega, trig=trig, basis=q, alpha1=d1, alpha2=d2,
-        e1=e[0], e2=e[1], e3=e[2], e4=e[3], truncation_x=truncation_x)
-
-
-def mode_match_two_layer(problem: TwoLayerProblem, omega: float, amp,
-                         trig: str = "cos") -> ModeMatchSolution:
-    """Half-plane two-layer solution for one trigonometric mode."""
-    return _mode_match(problem, omega, amp, trig, None)
-
-
-def mode_match_truncated(problem: TwoLayerProblem, omega: float, amp,
-                         truncation_x: float,
-                         trig: str = "cos") -> ModeMatchSolution:
-    """Two-layer mode solution on [0, X] with a zero far boundary, the
-    exact continuum counterpart of what fd_solve discretizes."""
-    return _mode_match(problem, omega, amp, trig, truncation_x)
+        e[:, i] = sol
+    return ModeMatchSolution(omega=omega, trig=trig, basis=q, alpha1=d1,
+                             alpha2=d2, l=l, e1=e[0], e2=e[1], e3=e[2])
 
 
 def mode_match_reference(problem: TwoLayerProblem, xs, ys, layer: int,
-                         dx_order: int = 0,
-                         truncation_x: float | None = None) -> np.ndarray:
+                         dx_order: int = 0) -> np.ndarray:
     """Assemble the exact field from all trace modes on the given nodes."""
     trace = problem.trace
     if trace.samples is not None:
@@ -194,7 +161,7 @@ def mode_match_reference(problem: TwoLayerProblem, xs, ys, layer: int,
         for amp, trig in ((m.cos_amp, "cos"), (m.sin_amp, "sin")):
             if not np.any(amp != 0.0):
                 continue
-            sol = _mode_match(problem, m.omega, amp, trig, truncation_x)
+            sol = mode_match_two_layer(problem, m.omega, amp, trig)
             vals = (sol.layer1_values(xs, ys, dx_order) if layer == 1
                     else sol.layer2_values(xs, ys, dx_order))
             out += vals
@@ -203,42 +170,30 @@ def mode_match_reference(problem: TwoLayerProblem, xs, ys, layer: int,
 
 @dataclass(frozen=True)
 class RobinModeSolution:
-    """Exact per-frequency Robin solution, optionally on a truncated strip."""
+    """Exact per-frequency Robin solution on the half-plane: e_minus
+    e^{-k x} per eigencomponent (physical amplitudes basis @ e_minus),
+    with k = omega / alpha."""
 
     omega: float
     trig: str
     basis: np.ndarray
     alpha: np.ndarray
     e_minus: np.ndarray
-    e_plus: np.ndarray
 
     def values(self, xs, ys, dx_order: int = 0) -> np.ndarray:
-        return _exp_pair_values(self.omega, self.trig, self.basis, self.alpha,
-                                self.e_minus, self.e_plus, xs, ys, dx_order)
+        return _exp_values(self.omega, self.trig, self.basis, self.alpha,
+                           ((self.e_minus, -1.0, 0.0),), xs, ys, dx_order)
 
 
 def robin_mode_solution(problem: RobinProblem, omega: float, amp,
-                        trig: str = "cos",
-                        truncation_x: float | None = None) -> RobinModeSolution:
+                        trig: str = "cos") -> RobinModeSolution:
     """Exact solution of h u + u_x = amp trig(omega y) per eigencomponent."""
     if omega <= 0.0:
         raise ValueError("requires omega > 0")
     amp = np.atleast_1d(np.asarray(amp, dtype=float))
     q, qinv, (da, dh) = shared_eigensystem([problem.a, problem.h])
-    v = qinv @ amp
-    n = amp.size
-    e_minus = np.zeros(n)
-    e_plus = np.zeros(n)
-    for i in range(n):
-        k = omega / da[i]
-        if truncation_x is None:
-            e_minus[i] = v[i] / (dh[i] - k)
-        else:
-            mat = np.array([[dh[i] - k, dh[i] + k],
-                            [np.exp(-k * truncation_x),
-                             np.exp(k * truncation_x)]])
-            e_minus[i], e_plus[i] = np.linalg.solve(mat, [v[i], 0.0])
-    return RobinModeSolution(omega, trig, q, da, e_minus, e_plus)
+    e_minus = (qinv @ amp) / (dh - omega / da)
+    return RobinModeSolution(omega, trig, q, da, e_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +210,8 @@ def fd_y_span(trace) -> float:
     """The fd oracle's y period: the smallest k 2 pi / omega_min, k <= 16,
     over which every mode of the trace is periodic."""
     omega_min = trace.min_positive_omega
+    if omega_min is None:
+        raise ValueError("fd oracle needs a mode with omega > 0")
     for k in range(1, 17):
         cycles = [k * m.omega / omega_min for m in trace.modes]
         if all(abs(c - round(c)) <= 1e-9 for c in cycles):
@@ -263,23 +220,24 @@ def fd_y_span(trace) -> float:
                      "any k <= 16")
 
 
-def fd_solve(problem, truncation_x: float, nx: int, ny: int,
-             far_tol: float = 0.05) -> FieldGrid:
-    """Second-order finite-difference solve on [0, X] x one y period
-    (:func:`fd_y_span`).
+def fd_solve(problem, x_max: float, nx: int, ny: int) -> FieldGrid:
+    """Second-order finite-difference solve of the half-plane problem on
+    the nodes of [0, x_max] x one y period (:func:`fd_y_span`).
 
     Mode traces only (so y can be made exactly periodic). Componentwise in
     the shared eigenbasis: 5-point interior stencil, one-sided second-order
-    boundary and interface-flux rows, u = 0 at the far boundary x = X. The
-    grid stores the ny distinct periodic y-nodes (the period endpoint is
-    not duplicated).
+    boundary and interface-flux rows. The grid stores the ny distinct
+    periodic y-nodes (the period endpoint is not duplicated).
 
     The periodic y part of the stencil is circulant, so a real DFT in y
     (Hockney's Fourier-analysis method) splits the 2-D system into
     ny // 2 + 1 decoupled x-systems, one per y-wavenumber, solved together
-    as one block-diagonal sparse system. The solution is then checked on
-    the real-space 5-point system: a residual above 1e-10 times the
-    boundary data scale, or a non-finite value, raises
+    as one block-diagonal sparse system. The far row of wavenumber q is
+    u_{N-1} = r_q u_{N-2}, with r_q the decaying root of the outermost
+    layer's x-recurrence: exact for the semi-infinite grid (a discrete
+    Dirichlet-to-Neumann condition), so x_max cuts nothing off. The
+    solution is then checked on the real-space system: a residual above
+    1e-10 times the boundary data scale, or a non-finite value, raises
     SingularSystemError.
     """
     trace = problem.trace
@@ -287,29 +245,17 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
         raise ValueError("fd oracle covers mode traces only")
     if nx < 3 or ny < 2:
         raise ValueError(f"fd grid needs nx >= 3 and ny >= 2, got {nx} x {ny}")
-    omega_min = trace.min_positive_omega
-    if omega_min is None:
-        raise TruncationTooSmallError(
-            "trace has no decaying mode; far boundary u=0 is inconsistent")
+    y_span = fd_y_span(trace)
 
     two_layer = isinstance(problem, TwoLayerProblem)
     if two_layer:
         q, qinv, (d1, d2) = shared_eigensystem([problem.a1, problem.a2])
-        lam_max = max(d1.max(), d2.max())
     else:
         q, qinv, (d1, dh) = shared_eigensystem([problem.a, problem.h])
-        lam_max = d1.max()
-    if np.exp(-omega_min * truncation_x / lam_max) >= far_tol:
-        raise TruncationTooSmallError(
-            f"exp(-omega X / max lambda) = "
-            f"{np.exp(-omega_min * truncation_x / lam_max):.3g} "
-            f"exceeds far_tol={far_tol}")
 
-    y_span = fd_y_span(trace)
-
-    hx = truncation_x / (nx - 1)
+    hx = x_max / (nx - 1)
     hy = y_span / ny
-    xs = np.linspace(0.0, truncation_x, nx)
+    xs = np.linspace(0.0, x_max, nx)
     ys = np.arange(ny) * hy
 
     if two_layer:
@@ -321,12 +267,14 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
     rhs_modes = _trace_component_rhs(trace, qinv, ys)     # (ny, n)
 
     # The system is Dx U + diag(lap) U ring_y = B on the (nx, ny) nodes: Dx
-    # carries the x stencil and the boundary, interface and far rows, lap
-    # marks the rows that hold the 5-point Laplacian, ring_y is its periodic
-    # y part and only row x = 0 of B is nonzero. ring_y is circulant, so a
+    # carries the x stencil and the boundary and interface rows, lap marks
+    # the rows that hold the 5-point Laplacian, ring_y is its periodic y
+    # part and only row x = 0 of B is nonzero. ring_y is circulant, so a
     # real DFT in y turns it into diag(mu) and the system into one x-system
     # (Dx + mu_q diag(lap)) v_q = rfft(B)_q per wavenumber q. At ny = 2 both
     # y neighbours are the same node; mu_1 = -4 / hy^2 is their summed entry.
+    # The far row v_{N-1} - r_q v_{N-2} = 0 differs per q: its diagonal 1
+    # sits in Dx and its -r_q on the subdiagonal of the y part.
     lap = np.ones(nx)
     lap[[0, nx - 1]] = 0.0
     if two_layer:
@@ -334,13 +282,17 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
     inner = np.flatnonzero(lap)
     nq = ny // 2 + 1
     mu = -(4.0 / hy ** 2) * np.sin(np.pi * np.arange(nq) / ny) ** 2
-    y_part = sp.diags(np.kron(mu, lap))
 
     u_eig = np.empty((nx, ny, trace.dim))
     for k in range(trace.dim):
         ax = (np.where(xs <= problem.l, d1[k], d2[k]) if two_layer
               else np.full(nx, d1[k]))
         cx = ax * ax / hx ** 2
+        # The outermost rows c (v_{i-1} - 2 v_i + v_{i+1}) + mu v_i = 0 have
+        # the roots r and 1/r; 1/(t + sqrt(t^2 - 1)) is the decaying one,
+        # free of the cancellation in t - sqrt(t^2 - 1) at large |mu|.
+        t = 1.0 - mu / (2.0 * cx[nx - 2])
+        r = 1.0 / (t + np.sqrt(t * t - 1.0))
         rows = [inner, inner, inner, [nx - 1]]
         cols = [inner - 1, inner, inner + 1, [nx - 1]]
         vals = [cx[inner], -2.0 * cx[inner], cx[inner], [1.0]]
@@ -363,6 +315,9 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
                            shape=(nx, nx))
         # Block q of the block-diagonal matrix is the x-system of
         # wavenumber q; real and imaginary parts are two right-hand sides.
+        far = np.zeros((nq, nx))
+        far[:, nx - 2] = -r
+        y_part = sp.diags([np.kron(mu, lap), far.ravel()[:-1]], [0, -1])
         mat = sp.kron(sp.identity(nq), dx, format="csc") + y_part
         f_hat = np.fft.rfft(rhs_modes[:, k])
         b = np.zeros((nq, nx, 2))
@@ -370,11 +325,13 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
         b[:, 0, 1] = f_hat.imag
         v = spsolve(mat, b.reshape(nq * nx, 2)).reshape(nq, nx, 2)
         u = np.fft.irfft(v[..., 0] + 1j * v[..., 1], n=ny, axis=0).T
-        # Residual of the real-space 5-point system, matrix-free.
+        # Residual of the real-space system, matrix-free; the far row
+        # applies r per wavenumber, a circulant in real space.
         res = dx @ u + lap[:, None] * (np.roll(u, 1, axis=1)
                                        + np.roll(u, -1, axis=1)
                                        - 2.0 * u) / hy ** 2
         res[0] -= rhs_modes[:, k]
+        res[nx - 1] -= np.fft.irfft(r * np.fft.rfft(u[nx - 2]), n=ny)
         resid = np.abs(res).max()
         scale = max(1.0, np.abs(rhs_modes[:, k]).max())
         if not np.all(np.isfinite(u)) or resid > 1e-10 * scale:
@@ -383,7 +340,7 @@ def fd_solve(problem, truncation_x: float, nx: int, ny: int,
         u_eig[:, :, k] = u
 
     u_phys = np.einsum("ij,xyj->xyi", q, u_eig)
-    return FieldGrid((0.0, truncation_x), (0.0, y_span - hy), u_phys,
+    return FieldGrid((0.0, x_max), (0.0, y_span - hy), u_phys,
                      layer_boundary=problem.l if two_layer else None)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from layerfield.errors import ParseError, ValidationError
 from layerfield.transmute import TwoLayerProblem
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 MINIMAL_TWO_LAYER = {
@@ -195,13 +197,59 @@ class TestMainExitCodes:
         path.write_text("{nope")
         assert main(["solve", "--config", str(path)]) == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        raw = make_config(tmp_path, overrides={
-            "verify": {"fd_oracle": True, "fd_x": 1.0, "fd_nx": 9, "fd_ny": 8}})
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # calibrated mode needs a shared eigenbasis; these two do not commute
+        raw = make_config(tmp_path, a1=[[2.0, 1.0], [1.0, 2.0]],
+                          a2=[[1.0, 0.0], [0.0, 3.0]])
+        raw["problem"]["trace"]["modes"][0]["cos_amp"] = [1.0, 0.5]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        # far-field truncation guard trips -> numerical failure
         assert main(["verify", "--config", str(path)]) == 3
+        assert "SharedBasisRequiredError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, omega, verb", [
+        ("two_layer_benchmark", 800.0, "verify"),
+        ("robin_scalar", 90.0, "convergence"),
+        ("two_layer_benchmark", 200.0, "convergence"),
+    ], ids=["verify_two_layer_omega_800", "convergence_robin_omega_90",
+            "convergence_two_layer_omega_200"])
+    def test_large_omega_oracles_do_not_overflow(self, tmp_path, name,
+                                                 omega, verb):
+        # e^{omega l / a1} and e^{omega fd_x / a} overflowed here once
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw["problem"]["trace"]["modes"][0]["omega"] = omega
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([verb, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("verb", ["verify", "convergence"])
+    def test_fd_oracle_needs_a_positive_omega(self, tmp_path, capsys, verb):
+        raw = make_config(tmp_path, overrides={"verify": {"fd_oracle": True}})
+        raw["problem"]["trace"] = {"modes": [{"omega": 0.0, "cos_amp": 1.0}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([verb, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "fd oracle needs a mode with omega > 0" in err
+
+    def test_robin_fd_comparison_applies_the_convention_sign(self, tmp_path):
+        # a literal Robin field obeys h u + u_x = -f, the fd +f: compared
+        # with the sign applied, both conventions measure the same fd error
+        raw = json.loads((CONFIG_DIR / "robin_scalar.json").read_text())
+        raw["verify"] = {"fd_oracle": True}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        linf = {}
+        for mode in ("literal", "calibrated"):
+            out = tmp_path / mode
+            assert main(["verify", "--config", str(path), "--mode", mode,
+                         "--out", str(out)]) == 0
+            payload = json.loads((out / "verify.json").read_text())
+            linf[mode] = payload["fd_comparison"]["linf"]
+        assert linf["literal"] == linf["calibrated"]
+        assert linf["calibrated"] <= 2e-3
 
     def test_prune_tol_is_rejected(self, tmp_path, capsys):
         raw = make_config(tmp_path, overrides={"solver": {"prune_tol": 0.0}})
@@ -224,8 +272,8 @@ class TestMainExitCodes:
         path.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(path)]) == 0
         fd = json.loads((tmp_path / "out" / "verify.json").read_text())
-        # dominated by the far boundary u = 0 at fd_x = 8 (e^{-8/2} = 0.018)
-        assert fd["fd_comparison"]["linf"] <= 0.02
+        # the discretization error at fd_nx 65; the far row cuts nothing off
+        assert fd["fd_comparison"]["linf"] <= 1e-3
 
     @pytest.mark.parametrize("verify, trace, extra, message", [
         ({"fd_oracle": True, "fd_ny": 0}, None, (), "ny >= 2"),
@@ -249,9 +297,9 @@ class TestMainExitCodes:
         ({"fd_oracle": True, "fd_x": 0.0}, None, (),
          "verify.fd_x must be positive"),
         ({"fd_oracle": True, "far_tol": 0.0}, None, (),
-         "verify.far_tol must be positive"),
+         "verify: unknown keys ['far_tol']"),
         ({"fd_oracle": True, "far_tol": -0.05}, None, (),
-         "verify.far_tol must be positive"),
+         "verify: unknown keys ['far_tol']"),
     ], ids=["fd_ny_0", "fd_ny_1", "fd_nx_5", "resolution_66",
             "y_not_periodic", "sampled_mode_match", "omega_0_mode_match",
             "convergence_fd_x_0", "fd_x_0", "far_tol_0", "far_tol_negative"])
@@ -355,3 +403,24 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "lit")]) == 0
         report = json.loads((tmp_path / "lit" / "report.json").read_text())
         assert report["config"]["solver"]["mode"] == "literal"
+
+
+def _readme_schema_keys(section: str) -> set:
+    """The keys of one block of the README's config schema."""
+    text = README.read_text()
+    schema = text[text.index("```jsonc"):]
+    schema = schema[:schema.index("```", 3)]
+    schema = re.sub(r"//.*", "", schema)
+    opening = f'"{section}": {{'
+    start = schema.index(opening) + len(opening)
+    depth, end = 1, start
+    while depth:
+        depth += {"{": 1, "}": -1}.get(schema[end], 0)
+        end += 1
+    return set(re.findall(r'"(\w+)"\s*:', schema[start:end - 1]))
+
+
+@pytest.mark.parametrize("section, defaults", [
+    ("solver", cli._SOLVER_DEFAULTS), ("verify", cli._VERIFY_DEFAULTS)])
+def test_readme_schema_lists_exactly_the_config_keys(section, defaults):
+    assert _readme_schema_keys(section) == set(defaults)

@@ -11,17 +11,12 @@ from layerfield.basefield import (
     boundary_values,
     cosine_trace,
 )
-from layerfield.errors import (
-    GridMismatchError,
-    SharedBasisRequiredError,
-    TruncationTooSmallError,
-)
+from layerfield.errors import GridMismatchError, SharedBasisRequiredError
 from layerfield.oracle import (
     compare,
     fd_solve,
     fd_y_span,
     mode_match_reference,
-    mode_match_truncated,
     mode_match_two_layer,
     residual_report,
     robin_mode_solution,
@@ -39,14 +34,22 @@ CAL = ConventionMode.CALIBRATED
 LIT = ConventionMode.LITERAL
 
 
-def two_layer_truncated_reference(problem, fd):
+def two_layer_reference(problem, fd):
+    """The half-plane mode-matching solution on the fd nodes."""
     xs, ys = fd.x_nodes, fd.y_nodes
     vals = np.zeros_like(fd.values)
     mask1 = xs <= problem.l
     for layer, mask in ((1, mask1), (2, ~mask1)):
-        vals[mask] = mode_match_reference(problem, xs[mask], ys, layer,
-                                          truncation_x=fd.x_range[1])
+        vals[mask] = mode_match_reference(problem, xs[mask], ys, layer)
     return FieldGrid(fd.x_range, fd.y_range, vals, fd.layer_boundary)
+
+
+def decaying_root(mu, alpha, hx):
+    """The root |r| < 1 of c (1/r - 2 + r) + mu = 0, c = alpha^2 / hx^2:
+    the ratio of successive x-nodes of a decaying solution of the
+    outermost rows at y-eigenvalue mu."""
+    t = 1.0 - mu * hx ** 2 / (2.0 * alpha ** 2)
+    return t - np.sqrt(t * t - 1.0)
 
 
 def _rel(*terms):
@@ -73,13 +76,17 @@ def fd_row_residuals(problem, fd):
     cx = (alpha * alpha / hx ** 2)[:, None, :]
     cy = 1.0 / hy ** 2
     rows = [i for i in range(1, nx - 1) if i != il]
+    ny = fd.ny
+    mu = -(4.0 / hy ** 2) * np.sin(np.pi * np.arange(ny // 2 + 1) / ny) ** 2
+    r = decaying_root(mu[:, None], alpha[-1][None, :], hx)   # (nq, n)
     out = {"laplace": _rel(cx[rows] * u[[i - 1 for i in rows]],
                            -2.0 * cx[rows] * u[rows],
                            cx[rows] * u[[i + 1 for i in rows]],
                            cy * np.roll(u, 1, axis=1)[rows],
                            -2.0 * cy * u[rows],
                            cy * np.roll(u, -1, axis=1)[rows]),
-           "far": np.abs(u[-1]).max() / np.abs(u).max()}
+           "far": _rel(u[-1], -np.fft.irfft(
+               r * np.fft.rfft(u[-2], axis=0), n=ny, axis=0))}
     if two_layer:
         out["dirichlet"] = _rel(u[0], -f)
         c1 = problem.lambda1 / (2.0 * hx)
@@ -112,22 +119,27 @@ def _fd_row_cases():
     }
 
 
-def direct_fd_solve(problem, truncation_x, nx, ny):
+def direct_fd_solve(problem, x_max, nx, ny):
     """The fd system of fd_solve assembled in real space,
-    kron(Dx, I_y) + kron(diag(lap), ring_y) per eigencomponent, and solved
-    directly by SuperLU; values (nx, ny, n) in the physical basis."""
+    kron(Dx, I_y) + kron(diag(lap), ring_y) - kron(far, R) per
+    eigencomponent, and solved directly by SuperLU; values (nx, ny, n) in
+    the physical basis. far is the single entry (nx - 1, nx - 2) and R the
+    circulant with ring_y's eigenvectors and the decaying roots of its
+    eigenvalues: the transparent far row u_{N-1} = R u_{N-2}."""
     two_layer = isinstance(problem, TwoLayerProblem)
     mats = [problem.a1, problem.a2] if two_layer else [problem.a, problem.h]
     q, qinv, (d1, d2) = shared_eigensystem(mats)
-    hx = truncation_x / (nx - 1)
+    hx = x_max / (nx - 1)
     hy = fd_y_span(problem.trace) / ny
-    xs = np.linspace(0.0, truncation_x, nx)
+    xs = np.linspace(0.0, x_max, nx)
     f = boundary_values(problem.trace, np.arange(ny) * hy) @ qinv.T
     il = int(round(problem.l / hx)) if two_layer else None
     eye = np.eye(ny)
     # at ny = 2 both rolls hit the same node and their entries add up
     ring_y = (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
               - 2.0 * eye) / hy ** 2
+    mu = np.fft.rfft(ring_y[:, 0]).real
+    far = sp.csr_matrix(([1.0], ([nx - 1], [nx - 2])), shape=(nx, nx))
     u = np.empty((nx, ny, f.shape[1]))
     for k in range(f.shape[1]):
         alpha = (np.where(xs <= problem.l, d1[k], d2[k]) if two_layer
@@ -148,8 +160,12 @@ def direct_fd_solve(problem, truncation_x, nx, ny):
                                      -4.0 * c2, c2]
         else:
             dx[0, :3] = [d2[k] - 1.5 / hx, 2.0 / hx, -0.5 / hx]
+        r = decaying_root(mu, alpha[-1], hx)
+        circ_r = np.fft.irfft(r[:, None] * np.fft.rfft(eye, axis=0), n=ny,
+                              axis=0)
         mat = (sp.kron(sp.csr_matrix(dx), sp.identity(ny))
-               + sp.kron(sp.diags(lap), sp.csr_matrix(ring_y))).tocsc()
+               + sp.kron(sp.diags(lap), sp.csr_matrix(ring_y))
+               - sp.kron(far, sp.csr_matrix(circ_r))).tocsc()
         b = np.zeros(nx * ny)
         b[:ny] = f[:, k]
         u[:, :, k] = spsolve(mat, b).reshape(nx, ny)
@@ -203,9 +219,12 @@ class TestModeMatch:
         a = eigendecompose(1.0)
         prob = TwoLayerProblem(a, a, 1.0, 1.0, 1.0, cosine_trace(1.0, [1.0]))
         sol = mode_match_two_layer(prob, 1.0, [1.0])
+        # u = e^{-x}: no growing term, and layer 2's amplitude, scaled to
+        # the interface x = l = 1, is e^{-1}
         assert (sol.basis @ sol.e1)[0] == pytest.approx(1.0, abs=1e-14)
         assert (sol.basis @ sol.e2)[0] == pytest.approx(0.0, abs=1e-14)
-        assert (sol.basis @ sol.e3)[0] == pytest.approx(1.0, abs=1e-14)
+        assert (sol.basis @ sol.e3)[0] == pytest.approx(np.exp(-1.0),
+                                                        abs=1e-14)
 
     def test_benchmark_spot_value(self, benchmark_problem):
         # frozen from the geometric image series summed in closed form
@@ -218,7 +237,9 @@ class TestModeMatch:
 
     def test_amplitude_split_invariant(self, benchmark_problem):
         sol = mode_match_two_layer(benchmark_problem, 1.0, [1.0])
-        assert np.allclose(sol.basis @ sol.e1 + sol.basis @ sol.e2, [1.0],
+        # the growing term is scaled to x = l = 1: e2 e^{k1 (0 - l)} at x = 0
+        assert np.allclose(sol.basis @ sol.e1
+                           + sol.basis @ sol.e2 * np.exp(-1.0), [1.0],
                            atol=1e-14)
 
     def test_interface_conditions_satisfied(self, benchmark_problem):
@@ -246,13 +267,21 @@ class TestModeMatch:
         u = sol.layer1_values([0.7], [0.0])[0, 0]
         assert u[1] == pytest.approx(2.0 * u[0], rel=1e-12)
 
-    def test_truncated_far_boundary(self, benchmark_problem):
-        sol = mode_match_truncated(benchmark_problem, 1.0, [1.0], 8.0)
-        assert abs(sol.layer2_values([8.0], [0.0])[0, 0, 0]) <= 1e-14
-        # interface conditions still hold
-        u1 = sol.layer1_values([1.0], [0.5])[0, 0, 0]
-        u2 = sol.layer2_values([1.0], [0.5])[0, 0, 0]
-        assert u1 == pytest.approx(u2, abs=1e-13)
+    def test_large_omega_stays_finite(self, benchmark_problem):
+        # e^{omega l / a1} overflows from omega ~ 710; the scaled
+        # amplitudes never form it
+        sol = mode_match_two_layer(benchmark_problem, 800.0, [1.0])
+        ys = np.linspace(-2, 2, 7)
+        assert np.abs(sol.layer1_values([0.0], ys)[0, :, 0]
+                      - np.cos(800.0 * ys)).max() <= 1e-14
+        u1 = sol.layer1_values([1.0], ys)[0]
+        u2 = sol.layer2_values([1.0], ys)[0]
+        assert np.all(np.isfinite(u1)) and np.abs(u1 - u2).max() <= 1e-14
+        du1 = sol.layer1_values([1.0], ys, dx_order=1)[0]
+        du2 = sol.layer2_values([1.0], ys, dx_order=1)[0]
+        assert np.abs(1.0 * du1 - 3.0 * du2).max() <= 1e-12 * 800.0
+        far = sol.layer2_values([1.0, 3.0, 50.0], ys)
+        assert np.all(np.isfinite(far))
 
     def test_requires_positive_frequency(self, benchmark_problem):
         with pytest.raises(ValueError):
@@ -269,14 +298,16 @@ class TestRobinModeSolution:
         got = sol.values([0.4], [0.3])[0, 0, 0]
         assert got == pytest.approx(-0.5 * np.exp(-0.4) * np.cos(0.3))
 
-    def test_truncated_boundary_rows(self):
+    @pytest.mark.parametrize("omega", [1.0, 90.0, 800.0])
+    def test_boundary_row_and_decay(self, omega):
         prob = RobinProblem(eigendecompose(1.0), eigendecompose(-1.0),
-                            cosine_trace(1.0, [1.0]))
-        sol = robin_mode_solution(prob, 1.0, [1.0], truncation_x=8.0)
-        assert abs(sol.values([8.0], [0.0])[0, 0, 0]) <= 1e-14
+                            cosine_trace(omega, [1.0]))
+        sol = robin_mode_solution(prob, omega, [1.0])
         lhs = (-sol.values([0.0], [0.0])[0, 0, 0]
                + sol.values([0.0], [0.0], dx_order=1)[0, 0, 0])
         assert lhs == pytest.approx(1.0, abs=1e-12)
+        far = sol.values([8.0], [0.0])[0, 0, 0]
+        assert np.isfinite(far) and abs(far) <= np.exp(-8.0 * omega)
 
 
 class TestFdSolve:
@@ -291,7 +322,7 @@ class TestFdSolve:
         errs = []
         for nx, ny in ((33, 32), (65, 64)):
             fd = fd_solve(prob, 8.0, nx, ny)
-            ref = two_layer_truncated_reference(prob, fd)
+            ref = two_layer_reference(prob, fd)
             errs.append(compare(fd, ref).linf)
         assert errs[0] <= 1e-3
         assert errs[1] <= 3e-4
@@ -300,7 +331,7 @@ class TestFdSolve:
         errs = []
         for nx, ny in ((33, 32), (65, 64)):
             fd = fd_solve(benchmark_problem, 8.0, nx, ny)
-            ref = two_layer_truncated_reference(benchmark_problem, fd)
+            ref = two_layer_reference(benchmark_problem, fd)
             errs.append(compare(fd, ref).linf)
         assert errs[1] <= 5e-4
         assert 3.5 <= errs[0] / errs[1] <= 5.0
@@ -316,7 +347,7 @@ class TestFdSolve:
         for nx, ny in ((65, 100), (129, 200)):
             fd = fd_solve(prob, 8.0, nx, ny)
             assert fd.y_range[1] + fd.hy == pytest.approx(4.0 * np.pi)
-            ref = two_layer_truncated_reference(prob, fd)
+            ref = two_layer_reference(prob, fd)
             errs.append(compare(fd, ref).linf)
         assert errs[1] <= 2e-4
         assert 3.5 <= errs[0] / errs[1] <= 5.0
@@ -333,7 +364,7 @@ class TestFdSolve:
         errs = []
         for nx, ny in ((17, 16), (33, 32)):
             fd = fd_solve(prob, 8.0, nx, ny)
-            sol = robin_mode_solution(prob, 1.0, [1.0], truncation_x=8.0)
+            sol = robin_mode_solution(prob, 1.0, [1.0])
             ref = FieldGrid(fd.x_range, fd.y_range,
                             sol.values(fd.x_nodes, fd.y_nodes))
             errs.append(compare(fd, ref).linf)
@@ -345,9 +376,17 @@ class TestFdSolve:
         fd = fd_solve(prob, 8.0, 17, 8)
         assert np.abs(fd.values).max() == 0.0
 
-    def test_far_field_guard(self, benchmark_problem):
-        with pytest.raises(TruncationTooSmallError):
-            fd_solve(benchmark_problem, 1.0, 9, 8)
+    @pytest.mark.parametrize("problem", ["benchmark", "robin"])
+    def test_far_row_is_exact(self, benchmark_problem, scalar_robin_problem,
+                              problem):
+        # The far row is exact for the semi-infinite grid, so a strip just
+        # past the interface holds the same discrete solution as a long one.
+        prob = benchmark_problem if problem == "benchmark" \
+            else scalar_robin_problem
+        long = fd_solve(prob, 8.0, 129, 32)
+        short = fd_solve(prob, 2.0, 33, 32)
+        assert short.hx == pytest.approx(long.hx, rel=1e-15)
+        assert np.abs(short.values - long.values[:33]).max() <= 1e-13
 
     def test_mode_traces_only(self):
         a = eigendecompose(1.0)
@@ -363,8 +402,8 @@ class TestFdSolve:
 
     @pytest.mark.parametrize("case", sorted(_fd_row_cases()))
     def test_solution_satisfies_documented_rows(self, case):
-        problem, truncation_x, nx, ny = _fd_row_cases()[case]
-        fd = fd_solve(problem, truncation_x, nx, ny)
+        problem, x_max, nx, ny = _fd_row_cases()[case]
+        fd = fd_solve(problem, x_max, nx, ny)
         residuals = fd_row_residuals(problem, fd)
         assert set(residuals) >= {"laplace", "far"}
         for name, rel in residuals.items():
@@ -372,9 +411,9 @@ class TestFdSolve:
 
     @pytest.mark.parametrize("case", sorted(_direct_solve_cases()))
     def test_matches_direct_real_space_solve(self, case):
-        problem, truncation_x, nx, ny = _direct_solve_cases()[case]
-        fd = fd_solve(problem, truncation_x, nx, ny)
-        ref = direct_fd_solve(problem, truncation_x, nx, ny)
+        problem, x_max, nx, ny = _direct_solve_cases()[case]
+        fd = fd_solve(problem, x_max, nx, ny)
+        ref = direct_fd_solve(problem, x_max, nx, ny)
         assert fd.values.shape == ref.shape == (nx, ny, problem.dim)
         assert np.abs(fd.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
